@@ -70,11 +70,14 @@ DRAW_METHODS = frozenset((
 
 #: Functions that *are* campaign work: executing one of these (or
 #: anything that reaches them) inside an open DB transaction holds
-#: the queue lock across a simulation (EFF005).
+#: the queue lock across a simulation (EFF005).  Every entry must
+#: resolve in the project symbol table; tests/analysis pins that, so
+#: a rename cannot silently blind the rule.
 WORK_QNAMES = (
     "repro.core.queue.worker.execute_item",
-    "repro.core.campaign._execute_run",
-    "repro.core.fleet.campaign._execute_fleet_run",
+    "repro.core.campaign.execute_run",
+    "repro.core.campaign._execute_brake",
+    "repro.core.campaign._execute_fleet",
     "repro.core.artifacts.ArtifactStore.put",
     "repro.core.artifacts.ArtifactStore.get",
 )

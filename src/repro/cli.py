@@ -316,6 +316,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         envelope=SafetyEnvelope(safe_stop_margin=args.safe_margin),
         progress=plan_progress,
+        backend=args.backend,
+        queue_dir=args.queue_dir,
     )
     print(f"Fault matrix: {len(plans)} plans x {args.runs} seeds "
           f"(base seed {args.seed})")
@@ -448,19 +450,12 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
     return 1 if result.failed else 0
 
 
-def _fleet_progress(run_id: int, total: int, result) -> None:
-    print(f"  [{run_id}/{total}] seed {result.seed}: "
-          f"{result.denm_delivered}/{result.n_obus} warned, "
-          f"verdict {result.verdict}", file=sys.stderr)
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.fleet import (
         FleetScenario,
         golden_scenario,
-        run_fleet_campaign,
         run_fleet_sweep,
     )
 
@@ -469,7 +464,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
         from repro.core.fleet import canonical_json
 
-        campaign = run_fleet_campaign(golden_scenario(), runs=1)
+        golden = golden_scenario()
+        campaign = run_campaign_parallel(golden, runs=1,
+                                         base_seed=golden.seed)
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         path = os.path.join(GOLDEN_DIR, "fleet_16obu_seed1.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -486,11 +483,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if sizes:
         campaigns = run_fleet_sweep(
             sizes, scenario, runs=args.runs, base_seed=args.seed,
-            workers=args.workers, progress=_fleet_progress)
+            workers=args.workers, progress=_print_progress)
     else:
-        campaigns = {args.obus: run_fleet_campaign(
+        campaigns = {args.obus: run_campaign_parallel(
             scenario, runs=args.runs, base_seed=args.seed,
-            workers=args.workers, progress=_fleet_progress)}
+            workers=args.workers, progress=_print_progress)}
 
     print(f"Fleet {scenario.workload} campaigns "
           f"({args.runs} seeds from {args.seed}):")
@@ -754,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "three)")
     fleet_parser.add_argument("--workers", type=_workers_count,
                               default=1, metavar="N",
-                              help="shard runs over N processes "
+                              help="shard runs over N processes; 0 "
+                                   "= auto, one per core "
                                    "(bit-identical to serial)")
     fleet_parser.add_argument("--sweep", default=None,
                               metavar="N,N,...",

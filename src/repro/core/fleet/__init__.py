@@ -1,6 +1,6 @@
 """Fleet-scale scenarios: many OBUs, multiple RSUs, one channel."""
 
-from repro.core.fleet.campaign import run_fleet_campaign, run_fleet_sweep
+from repro.core.fleet.campaign import run_fleet_sweep
 from repro.core.fleet.result import (
     FleetCampaignResult,
     FleetRunResult,
@@ -32,6 +32,5 @@ __all__ = [
     "fleet_runs_digest",
     "golden_scenario",
     "run_fleet",
-    "run_fleet_campaign",
     "run_fleet_sweep",
 ]

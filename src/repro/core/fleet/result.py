@@ -199,12 +199,8 @@ class FleetCampaignResult:
     def from_dict(cls, payload: Dict[str, Any]) -> "FleetCampaignResult":
         """Inverse of :meth:`to_dict` (the obs aggregate is not part
         of the canonical form and comes back as ``None``)."""
-        scenario_fields = dict(payload["scenario"])
-        scenario_fields["dcc_thresholds"] = tuple(
-            scenario_fields["dcc_thresholds"])
-        scenario = FleetScenario(**scenario_fields)
         result = cls(
-            scenario=scenario,
+            scenario=FleetScenario.from_dict(payload["scenario"]),
             runs=[FleetRunResult.from_dict(run)
                   for run in payload["runs"]],
         )

@@ -31,11 +31,7 @@ from repro.core.queue.campaign import (
     DeadLetterError,
     QueueCampaignError,
     enqueue_campaign,
-    enqueue_fleet_campaign,
     fold_queue_campaign,
-    fold_queue_fleet_campaign,
-    run_campaign_queue,
-    run_fleet_campaign_queue,
 )
 from repro.core.queue.worker import work_loop
 
@@ -48,10 +44,6 @@ __all__ = [
     "QueueItem",
     "WorkQueue",
     "enqueue_campaign",
-    "enqueue_fleet_campaign",
     "fold_queue_campaign",
-    "fold_queue_fleet_campaign",
-    "run_campaign_queue",
-    "run_fleet_campaign_queue",
     "work_loop",
 ]

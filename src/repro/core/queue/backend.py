@@ -91,7 +91,8 @@ class QueueItem:
     #: Stable identity: SHA-256 over (kind, payload); enqueueing the
     #: same item twice is a no-op.
     item_id: str
-    #: ``"brake"`` or ``"fleet"`` (what the worker will execute).
+    #: The scenario family name (``repro.core.campaign.FAMILIES``):
+    #: what the worker will execute.
     kind: str
     #: Canonical JSON-serialisable run description (scenario dict,
     #: run_id, fold ordering, result_key, ...).

@@ -1,48 +1,51 @@
 """Queue-backed campaigns: enqueue, drive workers, fold results.
 
-The glue between the durable queue and the existing campaign
-results.  Three layers:
+The glue between the durable queue and the campaign engine
+(:mod:`repro.core.campaign`).  Every layer is family-agnostic: the
+scenario family (brake or fleet) comes from the scenario type at
+enqueue time and from the queue's ``campaign`` meta at fold time.
 
-* **Enqueue** -- :func:`enqueue_campaign` /
-  :func:`enqueue_fleet_campaign` turn ``(scenario, seed)`` work into
-  :class:`~repro.core.queue.backend.QueueItem` rows whose
+* **Enqueue** -- :func:`enqueue_campaign` turns ``(scenario, seed)``
+  work into :class:`~repro.core.queue.backend.QueueItem` rows whose
   ``result_key`` is the run's content fingerprint (the very key the
-  pool path caches under) and record the campaign metadata the fold
+  pool path caches under) and records the campaign metadata the fold
   needs to rebuild the result object.
-* **Drive** -- :func:`run_campaign_queue` /
-  :func:`run_fleet_campaign_queue` spawn N worker processes, monitor
-  the queue (expiring lost leases, streaming progress, respawning
-  dead workers while retry budget remains) and fold when every item
-  is done or dead.
-* **Fold** -- :func:`fold_queue_campaign` /
-  :func:`fold_queue_fleet_campaign` stream completed artifacts out of
-  the store *in run-id order* and rebuild the exact
-  :class:`~repro.core.testbed.CampaignResult` /
-  :class:`~repro.core.fleet.result.FleetCampaignResult` (and
-  :class:`~repro.obs.ObsAggregate`) the serial and pool paths
-  produce.
+* **Drive** -- :func:`drive_queue` spawns N worker processes and
+  monitors the queue (expiring lost leases, streaming progress,
+  respawning dead workers while retry budget remains) until every
+  item is done or dead; :func:`run_on_queue` is the engine's
+  ``backend="queue"`` placement: enqueue, drive, fold.
+* **Fold** -- :func:`fold_queue_campaign` streams completed artifacts
+  out of the store *in run-id order* and rebuilds the exact campaign
+  result (and :class:`~repro.obs.ObsAggregate`) the serial and pool
+  paths produce.
 
 **The bit-identity argument.**  Every item describes a run that is a
 pure function of its payload (deterministic DES per seed); its
 artifact is stored under the content fingerprint of that payload, so
 a crashed-and-retried item recomputes the byte-identical entry; the
-fold consumes items sorted by ``(plan_index, run_id)`` -- a total
-order fixed at enqueue time -- so completion order, lease
-interleaving, worker count, placement and crash history are all
-invisible to the folded bytes.  Dead-lettered items are *not*
-silently dropped: folding an incomplete campaign raises
-:class:`DeadLetterError` naming them.
+fold consumes items sorted by ``run_id`` -- a total order fixed at
+enqueue time -- so completion order, lease interleaving, worker
+count, placement and crash history are all invisible to the folded
+bytes.  Dead-lettered items are *not* silently dropped: folding an
+incomplete campaign raises :class:`DeadLetterError` naming them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import (
+    FAMILIES,
+    RunOutcome,
+    check_faults,
+    family_of,
+    fold_obs,
+)
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
@@ -57,11 +60,7 @@ from repro.core.queue.worker import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.fleet.result import FleetCampaignResult
-    from repro.core.fleet.scenario import FleetScenario
     from repro.core.campaign import ProgressCallback
-    from repro.core.scenario import EmergencyBrakeScenario
-    from repro.core.testbed import CampaignResult
     from repro.faults.plan import FaultPlan
     from repro.obs import ObsAggregate
 
@@ -112,97 +111,57 @@ def queue_paths(queue_dir: str,
 
 def enqueue_campaign(
     queue: WorkQueue,
-    scenario: "EmergencyBrakeScenario",
+    scenario: Any,
     runs: int,
     base_seed: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     observe: bool = False,
     cache_salt: Optional[str] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    plan_index: int = 0,
 ) -> int:
-    """Enqueue one emergency-brake campaign's ``(scenario, seed)`` items.
+    """Enqueue one campaign's ``(scenario, seed)`` items.
 
     Work item ``i`` runs ``scenario.with_seed(base_seed + i)`` as
     ``run_id = i + 1`` -- exactly the pool path's sharding.  The
-    campaign metadata (scenario, seeds, family) is recorded on the
-    queue so ``queue fold`` can rebuild the result without the
-    caller's objects.  Returns how many items were newly inserted
+    family follows from the scenario type; a *fault_plan* and
+    *cache_salt* are for the brake family only.  The campaign
+    metadata (scenario, seeds, family) is recorded on the queue so
+    ``queue fold`` can rebuild the result without the caller's
+    objects.  Returns how many items were newly inserted
     (re-enqueueing is idempotent).
     """
-    from repro.core.campaign import scenario_fingerprint
-
+    family = family_of(scenario)
     if runs < 0:
         raise ValueError(f"runs must be >= 0, got {runs}")
-    if fault_plan is not None and fault_plan.is_empty:
-        fault_plan = None
-    plan_dict = None if fault_plan is None else fault_plan.to_dict()
+    fault_plan = check_faults(family, fault_plan, cache_salt)
     items: List[QueueItem] = []
     for index in range(runs):
         run_id = index + 1
         run_scenario = scenario.with_seed(base_seed + index)
         payload: Dict[str, Any] = {
-            "scenario": dataclasses.asdict(run_scenario),
-            "fault_plan": plan_dict,
-            "run_id": run_id,
-            "plan_index": plan_index,
-            "observe": observe,
-            "result_key": scenario_fingerprint(
-                run_scenario, fault_plan, salt=cache_salt),
-        }
+            "scenario": family.scenario_to_dict(run_scenario)}
+        if family.takes_faults:
+            payload["fault_plan"] = (None if fault_plan is None
+                                     else fault_plan.to_dict())
+        # plan_index is always 0; it stays in the payload so item ids
+        # (hashes of the payload) match queues enqueued before it
+        # lost its meaning.
+        payload.update(run_id=run_id, plan_index=0, observe=observe,
+                       result_key=family.key(run_scenario, fault_plan,
+                                             cache_salt))
         items.append(QueueItem(
-            item_id=item_identity("brake", payload),
-            kind="brake", payload=payload))
-    queue.set_meta("campaign", {
-        "family": "brake",
-        "scenario": dataclasses.asdict(scenario),
+            item_id=item_identity(family.name, payload),
+            kind=family.name, payload=payload))
+    meta: Dict[str, Any] = {
+        "family": family.name,
+        "scenario": family.scenario_to_dict(scenario),
         "runs": runs,
         "base_seed": base_seed,
         "observe": observe,
-        "cache_salt": cache_salt,
-    })
-    return queue.enqueue(items, max_attempts=max_attempts)
-
-
-def enqueue_fleet_campaign(
-    queue: WorkQueue,
-    scenario: "FleetScenario",
-    runs: int,
-    base_seed: Optional[int] = None,
-    observe: bool = False,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> int:
-    """Enqueue one fleet campaign (mirrors ``run_fleet_campaign``)."""
-    from repro.core.fleet.scenario import fleet_fingerprint
-
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
-    if base_seed is None:
-        base_seed = scenario.seed
-    items: List[QueueItem] = []
-    for index in range(runs):
-        run_id = index + 1
-        run_scenario = scenario.with_seed(base_seed + index)
-        payload: Dict[str, Any] = {
-            # to_dict (not asdict): emits the threshold tuple as a
-            # list, so the payload is a JSON fixed point and hashes
-            # identically before and after a queue round trip.
-            "scenario": run_scenario.to_dict(),
-            "run_id": run_id,
-            "plan_index": 0,
-            "observe": observe,
-            "result_key": fleet_fingerprint(run_scenario),
-        }
-        items.append(QueueItem(
-            item_id=item_identity("fleet", payload),
-            kind="fleet", payload=payload))
-    queue.set_meta("campaign", {
-        "family": "fleet",
-        "scenario": scenario.to_dict(),
-        "runs": runs,
-        "base_seed": base_seed,
-        "observe": observe,
-    })
+    }
+    if family.takes_faults:
+        meta["cache_salt"] = cache_salt
+    queue.set_meta("campaign", meta)
     return queue.enqueue(items, max_attempts=max_attempts)
 
 
@@ -244,11 +203,14 @@ def drive_queue(
                 reported.add(item["item_id"])
                 on_completed(item)
 
-    if workers == 1 or queue.unfinished() <= 1:
-        work_loop(WorkerConfig(
+    def config(index: int) -> WorkerConfig:
+        return WorkerConfig(
             queue_path=queue_path, store_root=store_root,
-            worker_id="w1", lease_seconds=lease_seconds,
-            poll_seconds=poll_seconds))
+            worker_id=f"w{index}", lease_seconds=lease_seconds,
+            poll_seconds=poll_seconds)
+
+    if workers == 1 or queue.unfinished() <= 1:
+        work_loop(config(1))
         queue.expire()
         report_new()
         return
@@ -258,11 +220,7 @@ def drive_queue(
     context = multiprocessing.get_context("spawn")
 
     def spawn(index: int) -> Any:
-        config = WorkerConfig(
-            queue_path=queue_path, store_root=store_root,
-            worker_id=f"w{index}", lease_seconds=lease_seconds,
-            poll_seconds=poll_seconds)
-        process = context.Process(target=work_loop, args=(config,))
+        process = context.Process(target=work_loop, args=(config(index),))
         process.start()
         return process
 
@@ -303,7 +261,7 @@ def drive_queue(
 
 def _completed_bodies(queue: WorkQueue, store: ArtifactStore,
                       ) -> List[Dict[str, Any]]:
-    """Completed item rows + verified bodies, in (plan, run_id) order.
+    """Completed item rows + verified bodies, in run_id order.
 
     Raises :class:`DeadLetterError` when items dead-lettered and
     :class:`QueueCampaignError` when items are still unfinished or an
@@ -319,8 +277,7 @@ def _completed_bodies(queue: WorkQueue, store: ArtifactStore,
             f"{unfinished} item(s) still pending or leased; drive "
             f"the queue (queue work/drain) before folding")
     rows = queue.items(state="done")
-    rows.sort(key=lambda item: (int(item["payload"]["plan_index"]),
-                                int(item["payload"]["run_id"])))
+    rows.sort(key=lambda item: int(item["payload"]["run_id"]))
     out: List[Dict[str, Any]] = []
     for item in rows:
         body = store.get(item["result_key"])
@@ -333,128 +290,77 @@ def _completed_bodies(queue: WorkQueue, store: ArtifactStore,
     return out
 
 
-def _fold_obs(completed: List[Dict[str, Any]],
-              obs: Optional["ObsAggregate"]) -> None:
-    """Fold stored per-run obs contexts in run order (exact merge)."""
-    if obs is None:
-        return
-    from repro.obs import ObsContext
-
-    for entry in completed:
-        body = entry["body"]
-        if body.get("obs") is not None:
-            obs.add_run(ObsContext.from_dict(body["obs"]),
-                        body.get("wall_s"))
-        else:
-            obs.add_cached()
-
-
 def fold_queue_campaign(queue: WorkQueue, store: ArtifactStore,
-                        obs: Optional["ObsAggregate"] = None,
-                        ) -> "CampaignResult":
-    """Rebuild the emergency-brake :class:`CampaignResult`.
+                        obs: Optional["ObsAggregate"] = None) -> Any:
+    """Rebuild the campaign result of the queue's family.
 
     Streams completed artifacts out of the store in run-id order --
     the same canonical order the pool path sorts into -- so the
-    result (measurements and, when instrumented, the folded
-    aggregate) is byte-identical to ``workers=1``.
+    result (runs and, when instrumented, the folded aggregate) is
+    byte-identical to ``workers=1``.
     """
-    from repro.core.measurement import RunMeasurement
-    from repro.core.scenario import scenario_from_dict
-    from repro.core.testbed import CampaignResult
-
     meta = queue.get_meta("campaign")
-    if meta is None or meta.get("family") != "brake":
+    family = FAMILIES.get(meta.get("family")) if meta else None
+    if meta is None or family is None:
         raise QueueCampaignError(
-            "queue holds no brake campaign metadata; was it enqueued "
-            "with enqueue_campaign()?")
+            "queue holds no campaign metadata (enqueue the campaign "
+            "first)")
     completed = _completed_bodies(queue, store)
-    measurements: List[RunMeasurement] = []
+    runs = []
     for entry in completed:
-        measurement = RunMeasurement.from_dict(
-            entry["body"]["measurement"])
-        # The artifact pins (scenario, seed), not the campaign
-        # position; rebind run_id exactly like a pool cache hit.
-        measurement.run_id = int(entry["item"]["payload"]["run_id"])
-        measurements.append(measurement)
-    _fold_obs(completed, obs)
-    return CampaignResult(
-        scenario=scenario_from_dict(meta["scenario"]),
-        runs=measurements, obs=obs)
-
-
-def fold_queue_fleet_campaign(queue: WorkQueue, store: ArtifactStore,
-                              obs: Optional["ObsAggregate"] = None,
-                              ) -> "FleetCampaignResult":
-    """Rebuild the :class:`FleetCampaignResult` (see brake fold)."""
-    from repro.core.fleet.result import (
-        FleetCampaignResult,
-        FleetRunResult,
-    )
-    from repro.core.fleet.scenario import FleetScenario
-
-    meta = queue.get_meta("campaign")
-    if meta is None or meta.get("family") != "fleet":
-        raise QueueCampaignError(
-            "queue holds no fleet campaign metadata; was it enqueued "
-            "with enqueue_fleet_campaign()?")
-    completed = _completed_bodies(queue, store)
-    runs = [FleetRunResult.from_dict(entry["body"]["run"])
-            for entry in completed]
-    _fold_obs(completed, obs)
-    return FleetCampaignResult(
-        scenario=FleetScenario.from_dict(meta["scenario"]),
+        item = entry["item"]
+        result = family.decode(entry["body"],
+                               int(item["payload"]["run_id"]))
+        if result is None:
+            raise QueueCampaignError(
+                f"artifact {item['result_key'][:12]} for item "
+                f"{item['item_id'][:12]} holds no {family.name} result")
+        runs.append(result)
+    fold_obs(obs, [(entry["body"].get("obs"), entry["body"].get("wall_s"))
+                   for entry in completed])
+    return family.campaign_result(
+        scenario=family.scenario_from_dict(meta["scenario"]),
         runs=runs, obs=obs)
 
 
 # ---------------------------------------------------------------------------
-# One-call drivers (what the backend="queue" switch lands on)
+# The engine's backend="queue" placement
 # ---------------------------------------------------------------------------
 
 
-def run_campaign_queue(
-    scenario: Optional["EmergencyBrakeScenario"] = None,
-    runs: int = 5,
-    base_seed: int = 1,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    progress: Optional["ProgressCallback"] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    obs: Optional["ObsAggregate"] = None,
-    cache_salt: Optional[str] = None,
-    queue_dir: Optional[str] = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> "CampaignResult":
-    """The queue-backed twin of ``run_campaign_parallel``.
+def run_on_queue(
+    scenario: Any,
+    runs: int,
+    base_seed: int,
+    workers: int,
+    cache_dir: Optional[str],
+    progress: Optional["ProgressCallback"],
+    fault_plan: Optional["FaultPlan"],
+    obs: Optional["ObsAggregate"],
+    cache_salt: Optional[str],
+    queue_dir: Optional[str],
+) -> Any:
+    """Enqueue, drive and fold one campaign on the work queue.
 
-    Enqueues the campaign into *queue_dir* (a fresh temporary
-    directory when None), drives *workers* worker processes to
-    completion -- surviving worker loss via lease expiry and bounded
-    retries -- and folds the streamed results into the bit-identical
-    :class:`CampaignResult`.  With a *cache_dir* the artifact store
-    doubles as the shared run cache, so warm entries complete without
-    simulating (reported as cached through *progress*).
+    Called by :func:`repro.core.campaign.run_campaign_parallel` with
+    validated arguments (``workers >= 1``).  The queue lives in
+    *queue_dir* (a fresh temporary directory when None); *workers*
+    worker processes drive it to completion -- surviving worker loss
+    via lease expiry and bounded retries -- and the streamed results
+    fold into the bit-identical campaign result.  With a *cache_dir*
+    the artifact store doubles as the shared run cache, so warm
+    entries complete without simulating (reported as cached through
+    *progress*).
     """
-    from repro.core.campaign import RunOutcome
-    from repro.core.measurement import RunMeasurement
-    from repro.core.scenario import EmergencyBrakeScenario
-
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    scenario = scenario or EmergencyBrakeScenario()
-    owns_dir = queue_dir is None
-    if owns_dir:
+    if queue_dir is None:
         queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-    assert queue_dir is not None
     paths = queue_paths(queue_dir, cache_dir)
     queue = WorkQueue(paths["queue"])
     try:
-        total = runs
         enqueue_campaign(
             queue, scenario, runs=runs, base_seed=base_seed,
             fault_plan=fault_plan, observe=obs is not None,
-            cache_salt=cache_salt, max_attempts=max_attempts)
+            cache_salt=cache_salt)
         store = ArtifactStore(paths["store"])
         done = 0
 
@@ -463,60 +369,20 @@ def run_campaign_queue(
             done += 1
             if progress is None:
                 return
-            body = store.get(item["result_key"])
-            if body is None:
-                return
-            measurement = RunMeasurement.from_dict(body["measurement"])
             run_id = int(item["payload"]["run_id"])
-            measurement.run_id = run_id
-            seed = int(item["payload"]["scenario"]["seed"])
-            progress(RunOutcome(run_id=run_id, seed=seed,
-                                cached=bool(item["cached"]),
-                                measurement=measurement),
-                     done, total)
+            result = FAMILIES[item["kind"]].decode(
+                store.get(item["result_key"]), run_id)
+            if result is None:
+                return
+            progress(RunOutcome(
+                run_id=run_id, seed=int(item["payload"]["scenario"]["seed"]),
+                cached=bool(item["cached"]), result=result), done, runs)
 
         if runs > 0:
             drive_queue(queue, paths["queue"], paths["store"],
-                        workers=min(workers, max(1, runs)),
-                        lease_seconds=lease_seconds,
+                        workers=min(workers, runs),
                         on_completed=on_completed)
         return fold_queue_campaign(queue, store, obs=obs)
-    finally:
-        queue.close()
-
-
-def run_fleet_campaign_queue(
-    scenario: Optional["FleetScenario"] = None,
-    runs: int = 3,
-    base_seed: Optional[int] = None,
-    workers: int = 1,
-    obs: Optional["ObsAggregate"] = None,
-    queue_dir: Optional[str] = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> "FleetCampaignResult":
-    """The queue-backed twin of ``run_fleet_campaign``."""
-    from repro.core.fleet.scenario import FleetScenario
-
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    base = scenario or FleetScenario()
-    owns_dir = queue_dir is None
-    if owns_dir:
-        queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-    assert queue_dir is not None
-    paths = queue_paths(queue_dir)
-    queue = WorkQueue(paths["queue"])
-    try:
-        enqueue_fleet_campaign(
-            queue, base, runs=runs, base_seed=base_seed,
-            observe=obs is not None, max_attempts=max_attempts)
-        store = ArtifactStore(paths["store"])
-        if runs > 0:
-            drive_queue(queue, paths["queue"], paths["store"],
-                        workers=min(workers, max(1, runs)),
-                        lease_seconds=lease_seconds)
-        return fold_queue_fleet_campaign(queue, store, obs=obs)
     finally:
         queue.close()
 
@@ -528,10 +394,7 @@ __all__ = [
     "STORE_DIR",
     "drive_queue",
     "enqueue_campaign",
-    "enqueue_fleet_campaign",
     "fold_queue_campaign",
-    "fold_queue_fleet_campaign",
     "queue_paths",
-    "run_campaign_queue",
-    "run_fleet_campaign_queue",
+    "run_on_queue",
 ]

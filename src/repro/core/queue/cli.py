@@ -29,25 +29,20 @@ import json
 import sys
 from typing import Any, Dict, Optional
 
+from repro.core.campaign import FAMILIES
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
     WorkQueue,
 )
 from repro.core.queue.campaign import (
-    DeadLetterError,
     QueueCampaignError,
     drive_queue,
     enqueue_campaign,
-    enqueue_fleet_campaign,
     fold_queue_campaign,
-    fold_queue_fleet_campaign,
     queue_paths,
 )
-from repro.core.queue.worker import (
-    DEFAULT_POLL_SECONDS,
-    run_worker,
-)
+from repro.core.queue.worker import add_worker_arguments, run_worker
 
 
 def _open_queue(args: argparse.Namespace) -> tuple:
@@ -72,20 +67,10 @@ def _dump(document: Dict[str, Any], path: Optional[str]) -> None:
 def cmd_enqueue(args: argparse.Namespace) -> int:
     queue, _ = _open_queue(args)
     try:
-        if args.family == "fleet":
-            from repro.core.fleet.scenario import FleetScenario
-
-            inserted = enqueue_fleet_campaign(
-                queue, FleetScenario(), runs=args.runs,
-                base_seed=args.seed, observe=args.observe,
-                max_attempts=args.max_attempts)
-        else:
-            from repro.core.scenario import EmergencyBrakeScenario
-
-            inserted = enqueue_campaign(
-                queue, EmergencyBrakeScenario(), runs=args.runs,
-                base_seed=args.seed, observe=args.observe,
-                max_attempts=args.max_attempts)
+        inserted = enqueue_campaign(
+            queue, FAMILIES[args.family].scenario_type(),
+            runs=args.runs, base_seed=args.seed, observe=args.observe,
+            max_attempts=args.max_attempts)
         counts = queue.counts()
     finally:
         queue.close()
@@ -97,15 +82,7 @@ def cmd_enqueue(args: argparse.Namespace) -> int:
 
 def cmd_work(args: argparse.Namespace) -> int:
     paths = queue_paths(args.dir)
-    completed = run_worker(
-        paths["queue"], paths["store"], args.worker_id,
-        lease_seconds=args.lease, poll_seconds=args.poll,
-        max_items=args.max_items,
-        exit_when_empty=not args.daemon,
-        stall_after_lease=args.stall_after_lease,
-        stall_seconds=args.stall_seconds)
-    print(f"worker {args.worker_id}: completed {completed} item(s)")
-    return 0
+    return run_worker(paths["queue"], paths["store"], args)
 
 
 def cmd_drain(args: argparse.Namespace) -> int:
@@ -140,37 +117,16 @@ def cmd_fold(args: argparse.Namespace) -> int:
 
     queue, paths = _open_queue(args)
     try:
-        meta = queue.get_meta("campaign")
-        if meta is None:
-            print("repro-testbed: error: queue holds no campaign "
-                  "metadata (run `queue enqueue` first)",
-                  file=sys.stderr)
-            return 1
-        store = ArtifactStore(paths["store"])
-        try:
-            if meta.get("family") == "fleet":
-                fleet_result = fold_queue_fleet_campaign(queue, store)
-                document = {
-                    "family": "fleet",
-                    "runs": len(fleet_result.runs),
-                    "digest": fleet_result.digest(),
-                }
-            else:
-                result = fold_queue_campaign(queue, store)
-                document = {
-                    "family": "brake",
-                    "runs": len(result.runs),
-                    "digest": result.digest(),
-                }
-        except DeadLetterError as error:
-            print(f"repro-testbed: error: {error}", file=sys.stderr)
-            return 1
-        except QueueCampaignError as error:
-            print(f"repro-testbed: error: {error}", file=sys.stderr)
-            return 1
+        result = fold_queue_campaign(queue,
+                                     ArtifactStore(paths["store"]))
+        family = queue.get_meta("campaign")["family"]
+    except QueueCampaignError as error:
+        print(f"repro-testbed: error: {error}", file=sys.stderr)
+        return 1
     finally:
         queue.close()
-    _dump(document, args.json)
+    _dump({"family": family, "runs": len(result.runs),
+           "digest": result.digest()}, args.json)
     return 0
 
 
@@ -188,7 +144,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         "(idempotent)")
     add_dir(enqueue_parser)
     enqueue_parser.add_argument("--family",
-                                choices=("brake", "fleet"),
+                                choices=tuple(FAMILIES),
                                 default="brake",
                                 help="campaign family")
     enqueue_parser.add_argument("--runs", type=int, default=5,
@@ -207,26 +163,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     work_parser = actions.add_parser(
         "work", help="run one worker process against the queue")
     add_dir(work_parser)
-    work_parser.add_argument("--worker-id", required=True,
-                             help="unique id for lease ownership")
-    work_parser.add_argument("--lease", type=float,
-                             default=DEFAULT_LEASE_SECONDS,
-                             help="lease/heartbeat horizon (s)")
-    work_parser.add_argument("--poll", type=float,
-                             default=DEFAULT_POLL_SECONDS,
-                             help="idle poll interval (s)")
-    work_parser.add_argument("--max-items", type=int, default=None,
-                             help="stop after N completions")
-    work_parser.add_argument("--daemon", action="store_true",
-                             help="keep polling after the queue "
-                                  "empties")
-    work_parser.add_argument("--stall-after-lease", type=int,
-                             default=None, metavar="N",
-                             help="crash-test hook: hold the Nth "
-                                  "lease without completing it")
-    work_parser.add_argument("--stall-seconds", type=float,
-                             default=3600.0,
-                             help="how long the stall hook holds")
+    add_worker_arguments(work_parser)
     work_parser.set_defaults(func=cmd_work)
 
     drain_parser = actions.add_parser(

@@ -28,14 +28,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import FAMILIES, execute_run
 from repro.core.queue.backend import (
     DEFAULT_LEASE_SECONDS,
     LeasedItem,
     WorkQueue,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import argparse
 
 #: How long an idle worker sleeps between polls (seconds).
 DEFAULT_POLL_SECONDS = 0.05
@@ -65,10 +69,12 @@ def execute_item(kind: str, payload: Dict[str, Any],
                  store: ArtifactStore) -> Tuple[str, bool]:
     """Run one work item; returns ``(result_key, cached)``.
 
-    The result key comes from the payload (it is the run's content
-    fingerprint, minted at enqueue time).  A verified artifact that
-    already satisfies the item -- including the observability context
-    when the item asks for one -- short-circuits the simulation.
+    The item *kind* names its scenario family (see
+    :data:`repro.core.campaign.FAMILIES`).  The result key comes from
+    the payload (it is the run's content fingerprint, minted at
+    enqueue time).  A verified artifact that already satisfies the
+    item -- including the observability context when the item asks
+    for one -- short-circuits the simulation.
     """
     key = str(payload["result_key"])
     observe = bool(payload.get("observe", False))
@@ -77,41 +83,21 @@ def execute_item(kind: str, payload: Dict[str, Any],
         if not observe or body.get("obs") is not None:
             return key, True
 
-    if kind == "brake":
-        from repro.core.campaign import _execute_run
-        from repro.core.scenario import scenario_from_dict
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"unknown work item kind {kind!r}")
+    plan = None
+    if payload.get("fault_plan") is not None:
         from repro.faults.plan import FaultPlan
 
-        scenario = scenario_from_dict(payload["scenario"])
-        plan = None
-        if payload.get("fault_plan") is not None:
-            plan = FaultPlan.from_dict(payload["fault_plan"])
-        obs_ctx = None
-        if observe:
-            from repro.obs import ObsContext
-
-            obs_ctx = ObsContext()
-        started = time.perf_counter()
-        measurement = _execute_run(scenario, int(payload["run_id"]),
-                                   plan, obs_ctx=obs_ctx)
-        wall = time.perf_counter() - started
-        body = {"kind": "brake", "measurement": measurement.to_dict()}
-        if obs_ctx is not None:
-            body["obs"] = obs_ctx.to_dict()
-            body["wall_s"] = wall
-    elif kind == "fleet":
-        from repro.core.fleet.campaign import _execute_fleet_run
-        from repro.core.fleet.scenario import FleetScenario
-
-        scenario = FleetScenario.from_dict(payload["scenario"])
-        run_dict, obs_dict, wall = _execute_fleet_run(
-            scenario, int(payload["run_id"]), observe)
-        body = {"kind": "fleet", "run": run_dict}
-        if obs_dict is not None:
-            body["obs"] = obs_dict
-            body["wall_s"] = wall
-    else:
-        raise ValueError(f"unknown work item kind {kind!r}")
+        plan = FaultPlan.from_dict(payload["fault_plan"])
+    result, obs_ctx, wall = execute_run(
+        family, family.scenario_from_dict(payload["scenario"]),
+        int(payload["run_id"]), plan, observe)
+    body = family.body(result)
+    if obs_ctx is not None:
+        body["obs"] = obs_ctx.to_dict()
+        body["wall_s"] = wall
     store.put(key, body)
     return key, False
 
@@ -172,25 +158,41 @@ def work_loop(config: WorkerConfig) -> int:
         queue.close()
 
 
-def run_worker(queue_path: str, store_root: str, worker_id: str,
-               lease_seconds: float = DEFAULT_LEASE_SECONDS,
-               poll_seconds: float = DEFAULT_POLL_SECONDS,
-               max_items: Optional[int] = None,
-               exit_when_empty: bool = True,
-               stall_after_lease: Optional[int] = None,
-               stall_seconds: float = 3600.0) -> int:
-    """Convenience wrapper: build a :class:`WorkerConfig` and loop.
+def add_worker_arguments(parser: "argparse.ArgumentParser") -> None:
+    """The worker knobs shared by ``repro-testbed queue work`` and
+    ``python -m repro.core.queue.worker``."""
+    parser.add_argument("--worker-id", required=True,
+                        help="unique id for lease ownership")
+    parser.add_argument("--lease", type=float,
+                        default=DEFAULT_LEASE_SECONDS,
+                        help="lease/heartbeat horizon (s)")
+    parser.add_argument("--poll", type=float,
+                        default=DEFAULT_POLL_SECONDS,
+                        help="idle poll interval (s)")
+    parser.add_argument("--max-items", type=int, default=None,
+                        help="stop after N completions")
+    parser.add_argument("--daemon", action="store_true",
+                        help="keep polling after the queue empties")
+    parser.add_argument("--stall-after-lease", type=int, default=None,
+                        metavar="N",
+                        help="crash-test hook: hold the Nth lease "
+                             "without completing it")
+    parser.add_argument("--stall-seconds", type=float, default=3600.0,
+                        help="how long the stall hook holds")
 
-    Module-level with scalar arguments so ``multiprocessing`` spawn
-    contexts (and the CLI) can use it directly.
-    """
-    return work_loop(WorkerConfig(
+
+def run_worker(queue_path: str, store_root: str,
+               args: "argparse.Namespace") -> int:
+    """Run one worker configured by :func:`add_worker_arguments`."""
+    completed = work_loop(WorkerConfig(
         queue_path=queue_path, store_root=store_root,
-        worker_id=worker_id, lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds, max_items=max_items,
-        exit_when_empty=exit_when_empty,
-        stall_after_lease=stall_after_lease,
-        stall_seconds=stall_seconds))
+        worker_id=args.worker_id, lease_seconds=args.lease,
+        poll_seconds=args.poll, max_items=args.max_items,
+        exit_when_empty=not args.daemon,
+        stall_after_lease=args.stall_after_lease,
+        stall_seconds=args.stall_seconds))
+    print(f"worker {args.worker_id}: completed {completed} item(s)")
+    return 0
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -204,28 +206,9 @@ def main(argv: Optional[list] = None) -> int:
                         help="queue SQLite file")
     parser.add_argument("--store", required=True,
                         help="artifact store root")
-    parser.add_argument("--worker-id", required=True)
-    parser.add_argument("--lease", type=float,
-                        default=DEFAULT_LEASE_SECONDS)
-    parser.add_argument("--poll", type=float,
-                        default=DEFAULT_POLL_SECONDS)
-    parser.add_argument("--max-items", type=int, default=None)
-    parser.add_argument("--daemon", action="store_true",
-                        help="keep polling after the queue empties")
-    parser.add_argument("--stall-after-lease", type=int, default=None,
-                        help="crash-test hook: hold the Nth lease "
-                             "without completing it")
-    parser.add_argument("--stall-seconds", type=float, default=3600.0)
+    add_worker_arguments(parser)
     args = parser.parse_args(argv)
-    completed = run_worker(
-        args.queue, args.store, args.worker_id,
-        lease_seconds=args.lease, poll_seconds=args.poll,
-        max_items=args.max_items,
-        exit_when_empty=not args.daemon,
-        stall_after_lease=args.stall_after_lease,
-        stall_seconds=args.stall_seconds)
-    print(f"worker {args.worker_id}: completed {completed} items")
-    return 0
+    return run_worker(args.queue, args.store, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

@@ -120,20 +120,18 @@ DEFAULT_FLEET_SIZES = (1, 8, 32)
 
 def _bench_fleet(sizes: Any, base_seed: int) -> list:
     """One instrumented fleet run per OBU count in *sizes*."""
-    from time import perf_counter
-
-    from repro.core.fleet import FleetScenario, FleetTestbed
-    from repro.obs.context import ObsContext
+    from repro.core.campaign import run_campaign_parallel
+    from repro.core.fleet import FleetScenario
 
     entries = []
     for n_obus in sizes:
-        scenario = FleetScenario(n_obus=n_obus, n_rsus=2,
-                                 duration=5.0, seed=base_seed)
-        ctx = ObsContext()
-        started = perf_counter()
-        result = FleetTestbed(scenario, obs=ctx).run()
-        wall = perf_counter() - started
-        events = float(ctx.metrics.counter("kernel.events").value)
+        scenario = FleetScenario(n_obus=n_obus, n_rsus=2, duration=5.0)
+        obs = ObsAggregate()
+        [result] = run_campaign_parallel(scenario, runs=1,
+                                         base_seed=base_seed,
+                                         obs=obs).runs
+        wall = obs.total_wall_seconds
+        events = float(obs.metrics.counter("kernel.events").value)
         entries.append({
             "n_obus": n_obus,
             "n_rsus": scenario.n_rsus,

@@ -4,10 +4,11 @@ This is the layer that ties the variation engine together: a
 :class:`~repro.vary.space.VariationSpec` is sampled
 (:mod:`repro.vary.samplers`), every point is materialised
 (:mod:`repro.vary.materialize`) and fed through the existing
-deterministic engines -- :func:`repro.faults.matrix.run_fault_matrix`
-for the emergency-brake family, :func:`repro.core.fleet.campaign.
-run_fleet_campaign` for the fleet family -- and every outcome folds
-into an exactly-mergeable :class:`~repro.vary.coverage.CoverageModel`.
+deterministic campaign engine -- through
+:func:`repro.faults.matrix.run_fault_matrix` for the emergency-brake
+family, :func:`repro.core.campaign.run_campaign_parallel` directly for
+the fleet family -- and every outcome folds into an exactly-mergeable
+:class:`~repro.vary.coverage.CoverageModel`.
 
 Determinism contract: for a fixed ``(spec, sampler, seed)`` the whole
 campaign -- point list, per-point verdicts, coverage report -- is
@@ -17,10 +18,13 @@ point the runs shard over workers via the engines, whose own
 bit-identity the tier-1 suite already pins.  Tie-break is an
 execution-level override that never enters the report.
 
-The run cache keys varied runs under ``(spec hash, point hash, seed)``
-by salting every point's campaign with
+The run cache keys varied brake runs under ``(spec hash, point hash,
+seed)`` by salting every point's campaign with
 ``<spec fingerprint>:<point key>`` (see
-:func:`repro.core.campaign.scenario_fingerprint`).
+:func:`repro.core.campaign.scenario_fingerprint`).  Fleet runs cache
+under :func:`~repro.core.fleet.scenario.fleet_fingerprint`, the key
+the queue backend writes for fleet items: the materialised fleet
+scenario already pins everything a run depends on.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.fleet.campaign import run_fleet_campaign
+from repro.core.campaign import run_campaign_parallel
 from repro.core.fleet.scenario import FleetScenario
 from repro.faults.envelope import SafetyEnvelope
 from repro.faults.matrix import run_fault_matrix
@@ -218,9 +222,9 @@ def _evaluate_point(
 
         point_queue_dir = os.path.join(queue_dir, f"point-{key[:12]}")
     if isinstance(point.scenario, FleetScenario):
-        campaign = run_fleet_campaign(
+        campaign = run_campaign_parallel(
             point.scenario, runs=runs_per_point, base_seed=base_seed,
-            workers=workers, backend=backend,
+            workers=workers, cache_dir=cache_dir, backend=backend,
             queue_dir=point_queue_dir)
         verdicts = tuple(run.verdict for run in campaign.runs)
         latencies = tuple(sorted(

@@ -454,7 +454,7 @@ class VariationSpec:
     ``family`` selects what a point materialises into (and which
     engine runs it): ``"emergency_brake"`` feeds
     :func:`~repro.faults.matrix.run_fault_matrix`, ``"fleet"`` feeds
-    :func:`~repro.core.fleet.run_fleet_campaign`.  ``base`` holds
+    :func:`~repro.core.campaign.run_campaign_parallel`.  ``base`` holds
     fixed scenario-field overrides applied to every point (dotted
     keys reach nested configs, e.g. ``"ntp.initial_offset_std"``);
     the special axis/base key ``"fault_plan"`` names a built-in fault

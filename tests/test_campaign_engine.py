@@ -5,9 +5,10 @@ Three invariants of :mod:`repro.core.campaign`:
 * serial and parallel campaigns yield bit-identical populations;
 * every run is deterministic in its seed (the property the
   equivalence rests on);
-* the on-disk run cache is transparent -- hits return the identical
-  measurement, any config change invalidates the key, corruption
-  falls back to recomputation.
+* the on-disk run cache (the artifact store plus the family's
+  decode) is transparent -- hits return the identical measurement,
+  any config change invalidates the key, corruption and undecodable
+  bodies fall back to recomputation.
 """
 
 import json
@@ -24,11 +25,14 @@ from repro.core import (
     run_campaign_parallel,
     scenario_fingerprint,
 )
-from repro.core.campaign import CACHE_FORMAT, RunCache
+from repro.core.artifacts import ArtifactStore
+from repro.core.campaign import CACHE_FORMAT, FAMILIES
 from repro.sim.randomness import RandomStreams
 
 #: A short scenario so each test run stays fast.
 FAST = EmergencyBrakeScenario(start_distance=4.0, timeout=15.0)
+
+BRAKE = FAMILIES["brake"]
 
 
 def as_dicts(result):
@@ -168,15 +172,33 @@ class TestScenarioFingerprint:
 
 class TestRunCache:
     def test_round_trip_identical(self, tmp_path):
-        cache = RunCache(str(tmp_path))
+        store = ArtifactStore(str(tmp_path))
         measurement = ScaleTestbed(FAST.with_seed(3), run_id=1).run()
-        cache.put("k", measurement)
-        loaded = cache.get("k")
+        store.put("k", BRAKE.body(measurement))
+        loaded = BRAKE.decode(store.get("k"), run_id=1)
         assert loaded is not None
         assert loaded.to_dict() == measurement.to_dict()
 
     def test_miss_returns_none(self, tmp_path):
-        assert RunCache(str(tmp_path)).get("nope") is None
+        assert BRAKE.decode(ArtifactStore(str(tmp_path)).get("nope"),
+                            run_id=1) is None
+
+    def test_undecodable_entry_is_a_miss(self, tmp_path):
+        # A body that verifies but holds no measurement (here: a fleet
+        # body under a brake key) decodes to None, and the campaign
+        # recomputes it instead of failing.
+        key = scenario_fingerprint(FAST.with_seed(3))
+        store = ArtifactStore(str(tmp_path))
+        store.put(key, {"kind": "fleet", "run": {"run_id": 1}})
+        assert BRAKE.decode(store.get(key), run_id=1) is None
+        events = []
+        result = run_campaign_parallel(
+            FAST, runs=1, base_seed=3, workers=1,
+            cache_dir=str(tmp_path),
+            progress=lambda o, d, t: events.append(o.cached))
+        assert events == [False]
+        assert BRAKE.decode(store.get(key), run_id=1).to_dict() == \
+            result.runs[0].to_dict()
 
     def test_campaign_cache_hit_skips_simulation(self, tmp_path):
         cold = run_campaign_parallel(FAST, runs=3, base_seed=3,
@@ -227,8 +249,8 @@ class TestRunCache:
         cold = run_campaign_parallel(FAST, runs=2, base_seed=3,
                                      workers=1, cache_dir=str(tmp_path))
         key = scenario_fingerprint(FAST.with_seed(3))
-        cache = RunCache(str(tmp_path))
-        with open(cache.path(key), "w", encoding="utf-8") as handle:
+        store = ArtifactStore(str(tmp_path))
+        with open(store.path(key), "w", encoding="utf-8") as handle:
             handle.write("{ not json !!")
         events = []
         again = run_campaign_parallel(
@@ -240,18 +262,18 @@ class TestRunCache:
         assert dict(events) == {1: False, 2: True}
         assert as_dicts(again) == as_dicts(cold)
         # The recompute healed the corrupt entry.
-        assert cache.get(key) is not None
+        assert BRAKE.decode(store.get(key), run_id=1) is not None
 
     def test_wrong_format_version_is_miss(self, tmp_path):
-        cache = RunCache(str(tmp_path))
+        store = ArtifactStore(str(tmp_path))
         measurement = ScaleTestbed(FAST.with_seed(3), run_id=1).run()
-        cache.put("k", measurement)
-        with open(cache.path("k"), "r", encoding="utf-8") as handle:
+        store.put("k", BRAKE.body(measurement))
+        with open(store.path("k"), "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["format"] = CACHE_FORMAT + 1
-        with open(cache.path("k"), "w", encoding="utf-8") as handle:
+        with open(store.path("k"), "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        assert cache.get("k") is None
+        assert BRAKE.decode(store.get("k"), run_id=1) is None
 
     def test_v4_flat_entry_is_ignored_and_left_untouched(
             self, tmp_path):
@@ -271,9 +293,9 @@ class TestRunCache:
             progress=lambda o, d, t: events.append(o.cached))
         assert events == [False]  # the legacy entry is a miss
         assert legacy.read_bytes() == before  # ... and untouched
-        cache = RunCache(str(tmp_path))
-        assert cache.get(key) is not None  # recompute landed in v5
-        assert os.path.relpath(cache.path(key),
+        store = ArtifactStore(str(tmp_path))
+        assert store.get(key) is not None  # recompute landed in v5
+        assert os.path.relpath(store.path(key),
                                str(tmp_path)).startswith("objects")
         # A second campaign replays from the migrated entry.
         warm_events = []
@@ -289,7 +311,7 @@ class TestRunCache:
         run_campaign_parallel(FAST, runs=1, base_seed=3, workers=1,
                               cache_dir=nested)
         assert os.path.isdir(nested)
-        assert len(RunCache(nested).store.keys()) == 1
+        assert len(ArtifactStore(nested).keys()) == 1
 
     def test_no_stray_temp_files(self, tmp_path):
         run_campaign_parallel(FAST, runs=2, base_seed=3, workers=1,

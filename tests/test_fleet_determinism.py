@@ -13,12 +13,12 @@ import os
 
 import pytest
 
+from repro.core.campaign import run_campaign_parallel
 from repro.core.fleet import (
     FleetScenario,
     canonical_json,
     golden_scenario,
     run_fleet,
-    run_fleet_campaign,
     run_fleet_sweep,
 )
 from repro.obs import ObsAggregate
@@ -32,11 +32,11 @@ ACCEPTANCE = FleetScenario(n_obus=32, n_rsus=2, duration=5.0)
 class TestWorkerBitIdentity:
     def test_32_obu_campaign_identical_across_workers_and_obs(self):
         obs_serial = ObsAggregate()
-        serial = run_fleet_campaign(ACCEPTANCE, runs=3, workers=1,
-                                    obs=obs_serial)
+        serial = run_campaign_parallel(ACCEPTANCE, runs=3, workers=1,
+                                       obs=obs_serial)
         obs_pool = ObsAggregate()
-        pooled = run_fleet_campaign(ACCEPTANCE, runs=3, workers=4,
-                                    obs=obs_pool)
+        pooled = run_campaign_parallel(ACCEPTANCE, runs=3, workers=4,
+                                       obs=obs_pool)
         assert serial.digest() == pooled.digest()
         assert (canonical_json(serial.to_dict())
                 == canonical_json(pooled.to_dict()))
@@ -79,7 +79,8 @@ class TestTieBreakInvariance:
             scenario = dataclasses.replace(
                 FleetScenario(n_obus=12, n_rsus=2, duration=4.0),
                 tie_break=policy)
-            digests.add(run_fleet_campaign(scenario, runs=3).digest())
+            digests.add(
+                run_campaign_parallel(scenario, runs=3).digest())
         assert len(digests) == 1
 
     def test_convoy_workload_tie_invariant(self):
@@ -95,7 +96,9 @@ class TestTieBreakInvariance:
 
 class TestGoldenFixture:
     def test_golden_16_obu_scenario_reproduces_fixture(self):
-        campaign = run_fleet_campaign(golden_scenario(), runs=1)
+        golden = golden_scenario()
+        campaign = run_campaign_parallel(golden, runs=1,
+                                         base_seed=golden.seed)
         produced = canonical_json(campaign.to_dict()) + "\n"
         with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
             pinned = handle.read()

@@ -20,7 +20,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import EmergencyBrakeScenario, run_campaign_parallel
 from repro.core.artifacts import ArtifactStore, CACHE_FORMAT, body_digest
-from repro.core.fleet import FleetScenario, run_fleet_campaign
+from repro.core.fleet import FleetScenario
 from repro.core.queue import (
     QueueItem,
     WorkQueue,
@@ -200,8 +200,8 @@ class TestBackendParity:
         with pytest.raises(ValueError, match="unknown backend"):
             run_campaign_parallel(FAST, runs=1, backend="carrier-pigeon")
         with pytest.raises(ValueError, match="unknown backend"):
-            run_fleet_campaign(FLEET_FAST, runs=1,
-                               backend="carrier-pigeon")
+            run_campaign_parallel(FLEET_FAST, runs=1,
+                                  backend="carrier-pigeon")
 
     def test_campaign_digest_matches_pool(self, tmp_path):
         pool = run_campaign_parallel(FAST, runs=3, base_seed=4,
@@ -249,10 +249,10 @@ class TestBackendParity:
         assert pool.to_dict() == queued.to_dict()
 
     def test_fleet_campaign_backend_queue(self, tmp_path):
-        pool = run_fleet_campaign(FLEET_FAST, runs=2, workers=1)
-        queued = run_fleet_campaign(FLEET_FAST, runs=2, workers=2,
-                                    backend="queue",
-                                    queue_dir=str(tmp_path / "q"))
+        pool = run_campaign_parallel(FLEET_FAST, runs=2, workers=1)
+        queued = run_campaign_parallel(FLEET_FAST, runs=2, workers=2,
+                                       backend="queue",
+                                       queue_dir=str(tmp_path / "q"))
         assert [r.to_dict() for r in pool.runs] == \
             [r.to_dict() for r in queued.runs]
         assert pool.digest() == queued.digest()

@@ -65,6 +65,29 @@ def test_sample_only_matches_campaign_points():
 
 
 class TestFleetCampaign:
+    def test_cache_dir_replays_fleet_points(self, tmp_path,
+                                            monkeypatch):
+        # Spy on every RunOutcome the engine streams for the points.
+        import repro.vary.campaign as vary_campaign
+
+        outcomes = []
+        engine = vary_campaign.run_campaign_parallel
+
+        def spy(*args, **kwargs):
+            kwargs["progress"] = lambda outcome, done, total: \
+                outcomes.append(outcome)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(vary_campaign, "run_campaign_parallel", spy)
+        spec = blind_corner_demo()
+        cache = str(tmp_path / "cache")
+        cold = run_variation_campaign(spec, cache_dir=cache, **FAST)
+        assert outcomes and not any(o.cached for o in outcomes)
+        outcomes.clear()
+        warm = run_variation_campaign(spec, cache_dir=cache, **FAST)
+        assert outcomes and all(o.cached for o in outcomes)
+        assert warm.digest() == cold.digest()
+
     def test_workers_do_not_change_report_bytes(self):
         spec = blind_corner_demo()
         serial = run_variation_campaign(
