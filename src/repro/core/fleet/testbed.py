@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.fleet.result import FleetRunResult
 from repro.core.fleet.scenario import FleetScenario
-from repro.core.platoon import PlatoonMember, PlatoonScenario
+from repro.core.platoon import PlatoonMember, PlatoonScenario, tick_phase
 from repro.facilities.ca_service import CaConfig
 from repro.facilities.den_service import DenConfig
 from repro.geonet.position import LocalFrame
@@ -116,10 +116,8 @@ class FleetTestbed:
                                   self.streams.get("fleet.edge.http"),
                                   name="fleet-edge")
         if sc.workload == "convoy" and len(self.members) >= 2:
-            watch_u = float(self._offsets.uniform())
-            self.sim.schedule(
-                PlatoonMember.DT * (0.1 + 0.8 * watch_u),
-                self._watch_gaps)
+            self.sim.schedule(tick_phase(self._offsets),
+                              self._watch_gaps)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -193,12 +191,11 @@ class FleetTestbed:
         for index in range(sc.n_obus):
             phases = self._station_phases()
             if index < participants:
-                tick_u = float(self._offsets.uniform())
                 member = PlatoonMember(
                     self.sim, member_sc, index,
                     x=sc.protagonist_start + index * sc.convoy_spacing,
                     predecessor=predecessor,
-                    first_tick=PlatoonMember.DT * (0.1 + 0.8 * tick_u))
+                    first_tick=tick_phase(self._offsets))
                 predecessor = member
                 self.members.append(member)
                 position = self._member_position(member)

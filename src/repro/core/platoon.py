@@ -30,6 +30,8 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.facilities.den_service import DenConfig
 from repro.geonet.position import LocalFrame
 from repro.messages.common import StationType
@@ -141,7 +143,7 @@ class PlatoonMember:
     def __init__(self, sim: Simulator, scenario: PlatoonScenario,
                  index: int, x: float,
                  predecessor: Optional["PlatoonMember"],
-                 first_tick: Optional[float] = None):
+                 first_tick: float):
         self.sim = sim
         self.scenario = scenario
         self.index = index
@@ -153,13 +155,11 @@ class PlatoonMember:
         self.emergency_engaged = False
         #: Actuation latency before brake force applies (s).
         self.actuation_delay = 0.012
-        # Fleet scenarios stagger members' first ticks so control
-        # updates never share a timestamp (follower control reads its
-        # predecessor's state, so tied ticks would be order-sensitive
-        # across tie-break policies); the default keeps the platoon
-        # experiment's shared DT grid.
-        sim.schedule(self.DT if first_tick is None else first_tick,
-                     self._tick)
+        # Callers stagger members' first ticks (a phase inside one DT)
+        # so control updates never share a timestamp: follower control
+        # reads its predecessor's state, so tied ticks would be
+        # order-sensitive across tie-break policies.
+        sim.schedule(first_tick, self._tick)
 
     # The MessageHandler duck-types against MotionPlanner.
     def emergency_stop(self, reason: str = "denm") -> None:
@@ -192,14 +192,23 @@ class PlatoonMember:
             self.outcome.halted_at = self.sim.now
             self.outcome.stop_position = self.x
         self.sim.schedule(
-            # detlint: ignore[SCH001] -- deliberate shared DT: members
-            # interact only via CAM delivery at strictly later times,
-            # and the ordering is pinned by the scenario tie_break input
+            # detlint: ignore[SCH001] -- every member and the gap
+            # watcher run at one DT period but on distinct phases drawn
+            # by the testbed, so no two of them share a timestamp
             self.DT, self._tick)
 
     def position(self) -> Tuple[float, float]:
         """(x, y) in the lab frame."""
         return (self.x, 0.0)
+
+
+def tick_phase(offsets: np.random.Generator) -> float:
+    """A first-tick phase inside one control period, drawn from *offsets*.
+
+    Members and gap watchers share the period ``PlatoonMember.DT``;
+    distinct phases keep their ticks from ever sharing a timestamp.
+    """
+    return PlatoonMember.DT * (0.1 + 0.8 * float(offsets.uniform()))
 
 
 class PlatoonTestbed:
@@ -233,10 +242,13 @@ class PlatoonTestbed:
         self.members: List[PlatoonMember] = []
         self.units: List[OpenC2XUnit] = []
         self.handlers: List[MessageHandler] = []
+        offsets = self.streams.get("platoon.offsets")
         predecessor: Optional[PlatoonMember] = None
         for index in range(sc.members):
             x = sc.leader_distance + index * sc.spacing
-            member = PlatoonMember(self.sim, sc, index, x, predecessor)
+            member = PlatoonMember(
+                self.sim, sc, index, x, predecessor,
+                first_tick=tick_phase(offsets))
             unit = OpenC2XUnit(
                 self.sim, self.medium, self.streams,
                 name=f"obu-{index}",
@@ -271,7 +283,7 @@ class PlatoonTestbed:
             self._leader_station = self.cell.station("leader")
             self._leader_station.on_receive(self._on_leader_5g)
         self.min_gap = math.inf
-        self.sim.schedule(PlatoonMember.DT, self._watch_gaps)
+        self.sim.schedule(tick_phase(offsets), self._watch_gaps)
 
     # ------------------------------------------------------------------
     # Warning paths

@@ -12,8 +12,8 @@ is bit-identical to an uninstrumented one.
 state: metric registries merge exactly, span and wall statistics
 merge per name, per-run wall times accumulate for runs/sec.  The
 campaign engine attaches the aggregate to its
-:class:`~repro.core.testbed.CampaignResult` and the ``bench``
-subcommand serialises it into ``BENCH_<rev>.json``.
+:class:`~repro.core.testbed.CampaignResult`, and the report's
+observability section renders it.
 """
 
 from __future__ import annotations

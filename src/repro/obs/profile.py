@@ -10,8 +10,7 @@ into bounded per-name statistics.
 Wall time is inherently nondeterministic, so it lives in its own
 container and never flows into :class:`RunMeasurement`, trace output
 or anything else under the bit-identity oracles; it surfaces only
-through the ``bench`` subcommand and the observability report
-section.
+through the observability report section.
 """
 
 from __future__ import annotations
