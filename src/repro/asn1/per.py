@@ -2,7 +2,9 @@
 
 :class:`BitWriter` and :class:`BitReader` move whole unsigned integers
 of arbitrary bit width in and out of a byte buffer with no alignment,
-which is all UPER requires.  Length determinants follow X.691 10.9:
+which is all UPER requires.  Both hold the stream as one Python int
+(MSB first), so every primitive is a single shift and mask.  Length
+determinants follow X.691 10.9:
 
 * constrained lengths within a range are encoded like a constrained
   integer;
@@ -13,39 +15,46 @@ which is all UPER requires.  Length determinants follow X.691 10.9:
 
 from __future__ import annotations
 
-from typing import List
-
 
 class Asn1Error(ValueError):
     """Raised on malformed values or truncated encodings."""
 
 
 class BitWriter:
-    """Accumulates an unaligned bit stream, MSB first."""
+    """Accumulates an unaligned bit stream, MSB first.
+
+    The bits written so far are the low :attr:`bit_length` bits of one
+    int accumulator.
+    """
 
     def __init__(self) -> None:
-        self._bits: List[int] = []
+        self._acc = 0
+        self._nbits = 0
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._nbits
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
-        self._bits.append(1 if bit else 0)
+        self._acc = (self._acc << 1) | (1 if bit else 0)
+        self._nbits += 1
 
     def write_uint(self, value: int, width: int) -> None:
         """Append *value* as an unsigned integer of *width* bits."""
         if width < 0:
             raise Asn1Error(f"negative width {width}")
-        if value < 0 or (width < 64 and value >> width):
+        if value < 0 or value >> width:
             raise Asn1Error(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        # int() keeps a numpy integer from turning the accumulator into
+        # a fixed-width scalar.
+        self._acc = (self._acc << width) | int(value)
+        self._nbits += width
 
     def write_bytes(self, data: bytes) -> None:
         """Append raw octets, unaligned."""
-        for byte in data:
-            self.write_uint(byte, 8)
+        width = 8 * len(data)
+        self._acc = (self._acc << width) | int.from_bytes(data, "big")
+        self._nbits += width
 
     def write_length(self, length: int) -> None:
         """Append an unconstrained length determinant (X.691 10.9.3)."""
@@ -63,31 +72,24 @@ class BitWriter:
 
     def to_bytes(self) -> bytes:
         """The stream padded with zero bits to a whole number of octets."""
-        out = bytearray()
-        acc = 0
-        count = 0
-        for bit in self._bits:
-            acc = (acc << 1) | bit
-            count += 1
-            if count == 8:
-                out.append(acc)
-                acc = 0
-                count = 0
-        if count:
-            out.append(acc << (8 - count))
-        return bytes(out)
+        pad = -self._nbits % 8
+        return (self._acc << pad).to_bytes((self._nbits + pad) // 8, "big")
 
     @property
     def bit_length(self) -> int:
         """Number of bits written so far."""
-        return len(self._bits)
+        return self._nbits
 
 
 class BitReader:
-    """Consumes an unaligned bit stream produced by :class:`BitWriter`."""
+    """Consumes an unaligned bit stream produced by :class:`BitWriter`.
+
+    The buffer is converted to one int up front; a read of *width* bits
+    at offset *pos* is the shift ``limit - pos - width`` and a mask.
+    """
 
     def __init__(self, data: bytes):
-        self._data = data
+        self._value = int.from_bytes(data, "big")
         self._pos = 0
         self._limit = len(data) * 8
 
@@ -105,10 +107,8 @@ class BitReader:
         """Read one bit."""
         if self._pos >= self._limit:
             raise Asn1Error("bit stream exhausted")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
         self._pos += 1
-        return bit
+        return (self._value >> (self._limit - self._pos)) & 1
 
     def read_uint(self, width: int) -> int:
         """Read an unsigned integer of *width* bits."""
@@ -119,14 +119,12 @@ class BitReader:
                 f"need {width} bits at offset {self._pos}, "
                 f"only {self.remaining} remain"
             )
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        self._pos += width
+        return (self._value >> (self._limit - self._pos)) & ((1 << width) - 1)
 
     def read_bytes(self, count: int) -> bytes:
         """Read *count* raw octets, unaligned."""
-        return bytes(self.read_uint(8) for _ in range(count))
+        return self.read_uint(8 * count).to_bytes(count, "big")
 
     def read_length(self) -> int:
         """Read an unconstrained length determinant (X.691 10.9.3)."""

@@ -7,6 +7,7 @@ decoded frames with reception metadata.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -52,7 +53,11 @@ class NetworkInterface:
         self.mac = EdcaMac(sim, rng or np.random.default_rng(0), self)
         self._rx_callbacks: List[RxCallback] = []
         self._loss_callbacks: List[LossCallback] = []
-        self._own_tx_intervals: List[Tuple[float, float]] = []
+        # Own transmissions, oldest first, as parallel start/end lists.
+        # The MAC sends one frame at a time, so the intervals are
+        # disjoint and both lists are non-decreasing.
+        self._own_tx_starts: List[float] = []
+        self._own_tx_ends: List[float] = []
         self.frames_received = 0
         self.frames_lost = 0
         medium.attach(self)
@@ -82,15 +87,25 @@ class NetworkInterface:
         """Called by the MAC; puts the frame on the air."""
         duration = self.medium.transmit(self, frame)
         now = self.sim.now
-        self._own_tx_intervals.append((now, now + duration))
-        if len(self._own_tx_intervals) > 32:
-            del self._own_tx_intervals[:-32]
+        ends = self._own_tx_ends
+        assert duration > 0, f"{self.name}: airtime {duration} s"
+        assert not ends or now >= ends[-1], (
+            f"{self.name} started a transmission at t={now} before its "
+            f"previous one ended at t={ends[-1]}")
+        self._own_tx_starts.append(now)
+        ends.append(now + duration)
         return duration
 
     def overlapped_own_tx(self, start: float, end: float) -> bool:
-        """Whether this NIC transmitted at any point during [start, end]."""
-        return any(min(t_end, end) > max(t_start, start)
-                   for t_start, t_end in self._own_tx_intervals)
+        """Whether this NIC transmitted at any point during [start, end].
+
+        For ``start < end``, an own transmission [s, e] counts when
+        ``min(e, end) > max(s, start)``: touching at an endpoint is not
+        an overlap.  The first interval ending after *start* is the only
+        candidate, since every later one starts no earlier.
+        """
+        i = bisect_right(self._own_tx_ends, start)
+        return i < len(self._own_tx_starts) and self._own_tx_starts[i] < end
 
     def deliver(self, frame: Frame, info: ReceptionInfo) -> None:
         """Called by the medium on successful decode."""

@@ -77,6 +77,31 @@ class TestBitPrimitives:
         assert reader.read_bit() == 1
         assert reader.read_bytes(1) == b"\xab"
 
+    @pytest.mark.parametrize("value", [2**64, 2**70 + 5])
+    def test_wide_uint_overflow_rejected(self, value):
+        writer = BitWriter()
+        with pytest.raises(Asn1Error):
+            writer.write_uint(value, 64)
+        assert writer.bit_length == 0
+
+    def test_widest_64_bit_uint_round_trips(self):
+        writer = BitWriter()
+        writer.write_uint(2**64 - 1, 64)
+        assert writer.to_bytes() == b"\xff" * 8
+        assert BitReader(writer.to_bytes()).read_uint(64) == 2**64 - 1
+
+    def test_numpy_uint_keeps_writer_exact(self):
+        import numpy as np
+
+        writer = BitWriter()
+        writer.write_uint(np.int64(5), 3)
+        writer.write_uint(2**70, 71)
+        writer.write_uint(np.int64(1), 1)
+        reference = BitWriter()
+        for value, width in ((5, 3), (2**70, 71), (1, 1)):
+            reference.write_uint(value, width)
+        assert writer.to_bytes() == reference.to_bytes()
+
     @given(st.integers(0, 2**32 - 1), st.integers(32, 48))
     def test_uint_round_trip_property(self, value, width):
         writer = BitWriter()
@@ -93,6 +118,143 @@ class TestBitPrimitives:
         writer = BitWriter()
         with pytest.raises(Asn1Error):
             writer.write_length(16384)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the int-accumulator codec against bit-list references
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBitWriter:
+    """The original writer: one list entry per bit."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write_bit(self, bit):
+        self.bits.append(1 if bit else 0)
+
+    def write_uint(self, value, width):
+        for shift in range(width - 1, -1, -1):
+            self.bits.append((value >> shift) & 1)
+
+    def write_bytes(self, data):
+        for byte in data:
+            self.write_uint(byte, 8)
+
+    def write_length(self, length):
+        if length < 128:
+            self.write_uint(length, 8)
+        else:
+            self.write_uint(0b10, 2)
+            self.write_uint(length, 14)
+
+    def to_bytes(self):
+        out = bytearray()
+        acc = count = 0
+        for bit in self.bits:
+            acc = (acc << 1) | bit
+            count += 1
+            if count == 8:
+                out.append(acc)
+                acc = count = 0
+        if count:
+            out.append(acc << (8 - count))
+        return bytes(out)
+
+
+class ReferenceBitReader:
+    """The original reader: one byte lookup per bit."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+        self.limit = len(data) * 8
+
+    def read_bit(self):
+        if self.pos >= self.limit:
+            raise Asn1Error("bit stream exhausted")
+        bit = (self.data[self.pos >> 3] >> (7 - (self.pos & 7))) & 1
+        self.pos += 1
+        return bit
+
+    def read_uint(self, width):
+        if self.pos + width > self.limit:
+            raise Asn1Error(
+                f"need {width} bits at offset {self.pos}, "
+                f"only {self.limit - self.pos} remain"
+            )
+        value = 0
+        for _ in range(width):
+            value = (value << 1) | self.read_bit()
+        return value
+
+    def read_bytes(self, count):
+        return bytes(self.read_uint(8) for _ in range(count))
+
+    def read_length(self):
+        first = self.read_uint(8)
+        if first < 128:
+            return first
+        return ((first & 0x3F) << 8) | self.read_uint(8)
+
+
+def _uint_op(width):
+    return st.integers(0, 2**width - 1).map(lambda v: ("uint", v, width))
+
+
+bit_ops = st.lists(st.one_of(
+    st.integers(0, 1).map(lambda b: ("bit", b)),
+    st.integers(0, 80).flatmap(_uint_op),
+    st.binary(max_size=12).map(lambda d: ("bytes", d)),
+    st.integers(0, 16383).map(lambda n: ("length", n)),
+), max_size=30)
+
+
+def _write(writer, op):
+    kind, *args = op
+    getattr(writer, f"write_{kind}")(*args)
+
+
+def _read(reader, op):
+    kind = op[0]
+    if kind == "uint":
+        return reader.read_uint(op[2])
+    if kind == "bytes":
+        return reader.read_bytes(len(op[1]))
+    return getattr(reader, f"read_{kind}")()
+
+
+class TestBitCodecOracle:
+    @given(bit_ops)
+    @settings(max_examples=400)
+    def test_writer_matches_bit_list_reference(self, ops):
+        writer, reference = BitWriter(), ReferenceBitWriter()
+        for op in ops:
+            _write(writer, op)
+            _write(reference, op)
+            assert writer.bit_length == len(writer) == len(reference.bits)
+        assert writer.to_bytes() == reference.to_bytes()
+
+    @given(bit_ops, st.integers(1, 9))
+    @settings(max_examples=400)
+    def test_reader_matches_bit_at_a_time_reference(self, ops, overrun):
+        writer = ReferenceBitWriter()
+        for op in ops:
+            _write(writer, op)
+        data = writer.to_bytes()
+        reader, reference = BitReader(data), ReferenceBitReader(data)
+        for op in ops:
+            assert _read(reader, op) == _read(reference, op)
+            assert reader.position == reference.pos
+        assert reader.remaining == reference.limit - reference.pos
+        # Reading past the end fails the same way in both.
+        width = reader.remaining + overrun
+        with pytest.raises(Asn1Error) as got:
+            reader.read_uint(width)
+        with pytest.raises(Asn1Error) as want:
+            reference.read_uint(width)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -445,3 +607,62 @@ class TestDecodeRobustness:
             CAM_PDU.from_bytes(bytes(data))
         except Asn1Error:
             pass
+
+
+def _valid_messages():
+    """One valid encoding per message type, with optional containers."""
+    import dataclasses
+
+    from repro.messages import (
+        ActionId, Cam, Denm, ReferencePosition, StationType)
+    from repro.messages.cpm import Cpm, PerceivedObject
+    from repro.messages.spat import MovementState, Spatem
+
+    pos = ReferencePosition(41.178, -8.608, altitude=90.0)
+    cam = Cam(station_id=7, station_type=StationType.PASSENGER_CAR,
+              generation_delta_time=1234, position=pos, heading=45.0,
+              speed=1.5, longitudinal_acceleration=-0.2, curvature=0.01,
+              yaw_rate=3.0, exterior_lights=(1, 0, 0, 0, 0, 0, 0, 0),
+              path_history=((1e-5, 2e-5), (-1e-5, 0.0)))
+    denm = dataclasses.replace(
+        Denm.collision_risk(ActionId(9, 9), 1000, pos,
+                            StationType.ROAD_SIDE_UNIT, event_speed=1.2,
+                            event_heading=270.0),
+        relevance_distance="lessThan50m",
+        traces=(((1e-5, 2e-5), (-1e-5, 0.0)),),
+        lane_position=2, external_temperature=21,
+        stationary_vehicle=True)
+    cpm = Cpm(
+        station_id=900, station_type=StationType.ROAD_SIDE_UNIT,
+        generation_delta_time=1234, reference_position=pos,
+        perceived_objects=(
+            PerceivedObject(1, x_offset=3.5, y_offset=-1.2, x_speed=0.0,
+                            y_speed=-1.1, confidence=0.8,
+                            classification="passengerCar"),
+            PerceivedObject(2, x_offset=-0.5, y_offset=4.0,
+                            classification="pedestrian"),
+        ))
+    spatem = Spatem(
+        station_id=900, intersection_id=7, revision=3,
+        movements=(
+            MovementState(1, "stop-And-Remain", 5.0),
+            MovementState(2, "protected-Movement-Allowed", 5.0,
+                          likely_seconds=6.0),
+        ))
+    return [(type(msg), msg.encode()) for msg in (cam, denm, cpm, spatem)]
+
+
+class TestTruncatedMessages:
+    """Every strict prefix of a valid message is a truncated frame: it
+    must decode or raise Asn1Error, never an IndexError, ValueError or
+    OverflowError from the bit reader."""
+
+    @pytest.mark.parametrize("kind, data", _valid_messages(),
+                             ids=["cam", "denm", "cpm", "spatem"])
+    def test_every_prefix_fails_with_a_typed_error(self, kind, data):
+        assert kind.decode(data) is not None
+        for cut in range(len(data)):
+            try:
+                kind.decode(data[:cut])
+            except Asn1Error:
+                pass

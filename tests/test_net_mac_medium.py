@@ -1,7 +1,11 @@
 """Tests for the EDCA MAC and the shared medium."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     AccessCategory,
@@ -232,3 +236,128 @@ class TestHalfDuplex:
         sim.run()
         assert got_b == []
         assert b.frames_lost >= 1
+
+
+# ---------------------------------------------------------------------------
+# Half-duplex check: the binary search against the full-scan reference
+# ---------------------------------------------------------------------------
+
+
+def reference_overlapped_own_tx(intervals, start, end):
+    """The original check: a full scan of every own-TX interval."""
+    return any(min(t_end, end) > max(t_start, start)
+               for t_start, t_end in intervals)
+
+
+class _StubClock:
+    now = 0.0
+    obs = None
+
+
+class _StubMedium:
+    """Just enough medium for ``start_transmission``: a fixed airtime."""
+
+    duration = 0.0
+
+    def attach(self, nic):
+        pass
+
+    def transmit(self, sender, frame):
+        return self.duration
+
+
+def nic_with_log(intervals):
+    """A NIC whose own-TX log is *intervals*, fed through the MAC API."""
+    clock, medium = _StubClock(), _StubMedium()
+    nic = NetworkInterface(clock, medium, "n", lambda: (0.0, 0.0))
+    for t_start, t_end in intervals:
+        clock.now = t_start
+        medium.duration = t_end - t_start
+        nic.start_transmission(make_frame())
+    return nic
+
+
+@st.composite
+def own_tx_logs(draw):
+    """Ordered, disjoint intervals on an integer grid (exact floats).
+
+    Gaps of 0 give neighbours that touch.
+    """
+    intervals, t = [], float(draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.integers(0, 3))
+        duration = draw(st.integers(1, 4))
+        intervals.append((t, t + duration))
+        t += duration
+    return intervals
+
+
+class TestOverlappedOwnTx:
+    @given(own_tx_logs(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_scan(self, intervals, data):
+        nic = nic_with_log(intervals)
+        # Query endpoints fall on log endpoints, between them and
+        # outside them.
+        points = sorted({p for iv in intervals for p in iv}
+                        | {-1.0, 0.5, 60.0})
+        points = sorted(points + [p + 0.5 for p in points])
+        for _ in range(20):
+            start, end = sorted(data.draw(
+                st.lists(st.sampled_from(points), min_size=2, max_size=2,
+                         unique=True)))
+            assert nic.overlapped_own_tx(start, end) == \
+                reference_overlapped_own_tx(intervals, start, end), \
+                (intervals, start, end)
+
+    def test_touching_intervals_do_not_overlap(self):
+        nic = nic_with_log([(1.0, 2.0), (2.0, 3.0)])
+        assert not nic.overlapped_own_tx(0.0, 1.0)
+        assert not nic.overlapped_own_tx(3.0, 4.0)
+        assert nic.overlapped_own_tx(1.5, 1.75)
+        assert nic.overlapped_own_tx(2.0, 2.5)
+
+    def test_log_is_not_capped(self):
+        intervals = [(float(2 * k), float(2 * k + 1)) for k in range(100)]
+        nic = nic_with_log(intervals)
+        assert nic.overlapped_own_tx(0.25, 0.5)
+
+    @pytest.mark.parametrize("intervals", [
+        [(1.0, 3.0), (2.0, 4.0)],  # starts before the previous end
+        [(1.0, 1.0)],              # zero airtime
+    ])
+    def test_unordered_or_empty_transmission_is_rejected(self, intervals):
+        with pytest.raises(AssertionError):
+            nic_with_log(intervals)
+
+    def test_fleet_digest_matches_reference_scan(self, monkeypatch):
+        from repro.core.fleet import FleetTestbed
+        from repro.core.fleet.result import fleet_runs_digest
+        from repro.core.fleet.scenario import convoy_fleet
+
+        def run():
+            scenario = convoy_fleet(n_obus=8, n_rsus=2, convoy_members=4,
+                                    seed=1)
+            return fleet_runs_digest([FleetTestbed(scenario).run()])
+
+        expected = run()
+        # The reference keeps its own unbounded log per NIC, fed by
+        # every start_transmission, and answers every check by a scan.
+        logs = defaultdict(list)
+        checks = []
+        start_transmission = NetworkInterface.start_transmission
+
+        def logged_start(self, frame):
+            duration = start_transmission(self, frame)
+            logs[self].append((self.sim.now, self.sim.now + duration))
+            return duration
+
+        def scan(self, start, end):
+            checks.append(1)
+            return reference_overlapped_own_tx(logs[self], start, end)
+
+        monkeypatch.setattr(NetworkInterface, "start_transmission",
+                            logged_start)
+        monkeypatch.setattr(NetworkInterface, "overlapped_own_tx", scan)
+        assert run() == expected
+        assert checks
