@@ -53,8 +53,8 @@ TAINT_SOURCES: Dict[str, str] = {
 }
 
 #: Modules whose own use of these APIs is sanctioned (the substream
-#: factory seeds from them deliberately; the profiler is host-side).
-TAINT_EXEMPT_MODULES = ("repro.sim.randomness", "repro.obs.profile")
+#: factory seeds from them deliberately).
+TAINT_EXEMPT_MODULES = ("repro.sim.randomness",)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -329,7 +329,7 @@ def run_campaign_parallel(
     ship their contexts back as canonical dicts, and the parent folds
     them in ``run_id`` order through the exactly-mergeable metric
     fold, so the aggregate is bit-identical to a serial instrumented
-    campaign (wall-clock profile stats aside).
+    campaign (per-run wall times aside).
 
     *cache_salt* (brake family only) is folded into every run's cache
     fingerprint (see :func:`scenario_fingerprint`); it never changes

@@ -166,7 +166,7 @@ class WorkQueue:
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.obs is not None:
-            self.obs.count(name, float(amount))
+            self.obs.count(name, amount)
 
     # ------------------------------------------------------------------
     # Campaign metadata

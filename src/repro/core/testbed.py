@@ -376,12 +376,9 @@ class ScaleTestbed:
 
     def run(self) -> RunMeasurement:
         """Execute the run and return its measurement."""
+        self.sim.run_until(self.scenario.timeout)
         obs = self.sim.obs
-        if obs is None:
-            self.sim.run_until(self.scenario.timeout)
-        else:
-            with obs.profile("run.total"):
-                self.sim.run_until(self.scenario.timeout)
+        if obs is not None:
             self._record_e2e_spans(obs)
         measurement = RunMeasurement(run_id=self.run_id,
                                      timeline=self.timeline)
@@ -468,8 +465,9 @@ class CampaignResult:
         The bit-identity witness the backend-equivalence tests pin:
         two campaigns agree on every measurement of every run -- and
         hence on every derived statistic -- iff their digests match.
-        Hashes the ordered run dicts only (not the observability
-        aggregate, whose wall-clock stats are real measured times).
+        Hashes the ordered run dicts only, not the observability
+        aggregate, which has its own
+        :meth:`~repro.obs.context.ObsAggregate.sim_digest`.
         """
         import hashlib
 

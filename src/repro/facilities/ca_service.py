@@ -192,13 +192,10 @@ class CaBasicService:
             exterior_lights=(0,) * 8 if include_lf else None,
             path_history=path_history,
         )
+        payload = cam.encode()
         obs = self.sim.obs
         if obs is not None:
-            with obs.profile("asn1.encode"):
-                payload = cam.encode()
             obs.count("ca.cams_sent", device=str(self.station_id))
-        else:
-            payload = cam.encode()
         self.router.send_shb(payload, BtpPort.CAM,
                              traffic_class=AccessCategory.AC_VI)
         self._last_cam_state = state
@@ -221,13 +218,10 @@ class CaBasicService:
         self._callbacks.append(callback)
 
     def _on_payload(self, payload: bytes, _context: object) -> None:
+        cam = Cam.decode(payload)
         obs = self.sim.obs
         if obs is not None:
-            with obs.profile("asn1.decode"):
-                cam = Cam.decode(payload)
             obs.count("ca.cams_received", device=str(self.station_id))
-        else:
-            cam = Cam.decode(payload)
         self.cams_received += 1
         self.ldm.put(LdmObject(
             key=f"cam:{cam.station_id}",

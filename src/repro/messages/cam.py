@@ -276,7 +276,7 @@ class Cam:
                                 "deltaAltitude": 0,
                             },
                         }
-                        for d_lat, d_lon in self.path_history[:40]
+                        for d_lat, d_lon in self.path_history
                     ],
                 })
         return {

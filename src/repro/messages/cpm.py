@@ -138,7 +138,7 @@ class Cpm:
                             min(1.0, max(0.0, obj.confidence)) * 100)),
                         "classification": obj.classification,
                     }
-                    for obj in self.perceived_objects[:128]
+                    for obj in self.perceived_objects
                 ],
             },
         }

@@ -370,9 +370,9 @@ class Denm:
             # least one (possibly empty) path history.
             return [[]]
         out = []
-        for trace in self.traces[:7]:
+        for trace in self.traces:
             path = []
-            for d_lat, d_lon in trace[:40]:
+            for d_lat, d_lon in trace:
                 path.append({
                     "pathPosition": {
                         "deltaLatitude": _delta_wire(d_lat, 131071),

@@ -3,15 +3,16 @@
 Three metric kinds, modelled on the Prometheus data model but kept
 deterministic and *exactly* mergeable:
 
-* :class:`Counter` -- a monotonically increasing count;
+* :class:`Counter` -- a monotonically increasing integer count;
 * :class:`Gauge` -- a point-in-time value (last write wins);
 * :class:`Histogram` -- fixed upper-bound buckets plus an exact sum.
 
-Histogram sums accumulate as :class:`fractions.Fraction` (every float
-is an exact rational), so merging two histograms is associative and
-commutative *bit for bit* -- the property the campaign engine relies
-on when folding per-run registries into a campaign aggregate, and the
-invariant pinned by ``tests/test_obs_properties.py``.
+Counters hold plain :class:`int` values and histogram sums accumulate
+as :class:`fractions.Fraction` (every float is an exact rational), so
+merging two registries is associative and commutative *bit for bit*
+-- the property the campaign engine relies on when folding per-run
+registries into a campaign aggregate, and the invariant pinned by
+``tests/test_obs_properties.py``.
 
 Metric identity is ``(name, sorted label pairs)``.  Names follow the
 ``<layer>.<quantity>`` scheme documented in ARCHITECTURE.md §9
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -47,33 +49,34 @@ def _render_labels(pairs: LabelPairs) -> str:
 
 
 class Counter:
-    """A monotonically increasing count.
+    """A monotonically increasing integer count.
 
-    Like the histogram sum, the running value accumulates as an
-    exact rational (every float increment is an exact
-    :class:`~fractions.Fraction`), so merging counters is
-    associative and commutative bit for bit regardless of fold
+    The running value is a plain :class:`int`, so merging counters
+    is associative and commutative bit for bit regardless of fold
     order -- the DET004 contract for exactly-mergeable state.
-    Floats only appear at the export edge (:attr:`value`,
-    :meth:`to_dict`).
+    Increments must be whole numbers: :meth:`inc` rejects a float
+    with :class:`TypeError` rather than rounding it.  Floats only
+    appear at the export edge (:attr:`value`, :meth:`to_dict`), which
+    keeps the JSON and Prometheus forms unchanged.
     """
 
     __slots__ = ("_value",)
 
     def __init__(self) -> None:
-        self._value = Fraction(0)
+        self._value = 0
 
     @property
     def value(self) -> float:
         """The count, as a float."""
         return float(self._value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add *amount* (must be >= 0)."""
+    def inc(self, amount: int = 1) -> None:
+        """Add the integer *amount* (must be >= 0)."""
+        amount = operator.index(amount)
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, "
                              f"got {amount}")
-        self._value += Fraction(amount)
+        self._value += amount
 
     def merge(self, other: "Counter") -> None:
         """Fold *other* into this counter (exact)."""
@@ -84,8 +87,12 @@ class Counter:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Counter":
+        value = float(data["value"])
+        if not value.is_integer():
+            raise ValueError(f"counter value must be integral, "
+                             f"got {data['value']!r}")
         counter = cls()
-        counter._value = Fraction(float(data["value"]))
+        counter._value = int(value)
         return counter
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.tie_audit import UNKNOWN_SITE, TieAudit
@@ -331,13 +330,10 @@ class Simulator:
                          site if site is not None else UNKNOWN_SITE,
                          self._queue.peek_site())
         self._now = when
+        callback()
         obs = self.obs
-        if obs is None:
-            callback()
-        else:
-            begin = perf_counter()
-            callback()
-            obs.kernel_step(perf_counter() - begin)
+        if obs is not None:
+            obs.count("kernel.events")
         if self._pending_failures:
             failure = self._pending_failures.pop(0)
             self._pending_failures.clear()

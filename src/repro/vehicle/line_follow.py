@@ -88,34 +88,19 @@ class LineDetectionNode:
 
     def _process(self, frame: CameraFrame) -> LineEstimate:
         self.frames_processed += 1
-        obs = self.sim.obs
-        if obs is not None:
-            with obs.profile("vision.canny"):
-                edges = canny(frame.image, self.canny_low, self.canny_high)
-        else:
-            edges = canny(frame.image, self.canny_low, self.canny_high)
+        edges = canny(frame.image, self.canny_low, self.canny_high)
         # Region filter: "applying a region filter to only receive the
         # center of the image" -- blank the lateral margins.
         margin = self.view.width // 8
         edges[:, :margin] = False
         edges[:, -margin:] = False
-        if obs is not None:
-            with obs.profile("vision.hough"):
-                segments = probabilistic_hough(
-                    edges,
-                    threshold=self.hough_threshold,
-                    min_line_length=self.min_line_length,
-                    max_line_gap=self.max_line_gap,
-                    rng=self.rng,
-                )
-        else:
-            segments = probabilistic_hough(
-                edges,
-                threshold=self.hough_threshold,
-                min_line_length=self.min_line_length,
-                max_line_gap=self.max_line_gap,
-                rng=self.rng,
-            )
+        segments = probabilistic_hough(
+            edges,
+            threshold=self.hough_threshold,
+            min_line_length=self.min_line_length,
+            max_line_gap=self.max_line_gap,
+            rng=self.rng,
+        )
         # Keep roughly vertical segments (the line's two borders).
         vertical = [s for s in segments
                     if abs(abs(s.angle) - math.pi / 2.0) < math.radians(40)]

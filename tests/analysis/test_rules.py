@@ -78,13 +78,15 @@ class TestAllowlists:
         assert [f.rule for f in in_factory] == []
         assert [f.rule for f in elsewhere] == ["DET001"]
 
-    def test_det002_exempt_in_profile_module(self):
+    def test_det002_fires_under_obs(self):
+        # Observability measures sim time only: no module, the obs
+        # package included, is exempt from the wall-clock rule.
         source = ("import time\n"
                   "def stamp():\n"
                   "    return time.time()\n")
-        in_profile = lint_source(source, "src/repro/obs/profile.py")
+        in_obs = lint_source(source, "src/repro/obs/metrics.py")
         elsewhere = lint_source(source, "src/repro/sim/kernel.py")
-        assert [f.rule for f in in_profile] == []
+        assert [f.rule for f in in_obs] == ["DET002"]
         assert [f.rule for f in elsewhere] == ["DET002"]
 
     def test_fixture_paths_never_match_repro_allowlists(self):

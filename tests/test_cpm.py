@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asn1 import Asn1Error
 from repro.facilities import ItsStation, ObjectKind
 from repro.facilities.cp_service import CpConfig, CpService
 from repro.geonet import LocalFrame
@@ -50,6 +51,21 @@ class TestCpmCodec:
         cpm = make_cpm(objects=())
         again = Cpm.decode(cpm.encode())
         assert again.perceived_objects == ()
+
+    def test_object_list_at_size_bound_round_trips(self):
+        cpm = make_cpm(objects=tuple(
+            PerceivedObject(i, float(i % 50), 0.0) for i in range(128)))
+        again = Cpm.decode(cpm.encode())
+        assert len(again.perceived_objects) == 128
+        assert again.perceived_objects[127].object_id == 127
+
+    def test_object_list_over_size_bound_raises(self):
+        # SIZE(0..128): a 129th object is an encoding error, never a
+        # silently dropped one.
+        cpm = make_cpm(objects=tuple(
+            PerceivedObject(i, 1.0, 0.0) for i in range(129)))
+        with pytest.raises(Asn1Error):
+            cpm.encode()
 
     def test_wire_size_scales_with_objects(self):
         small = make_cpm(objects=(PerceivedObject(1, 1.0, 1.0),))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
 from repro.faults.envelope import DependabilityVerdict, SafetyEnvelope
 from repro.faults.matrix import FaultMatrixResult, FaultMatrixRow
 from repro.faults.plan import (
@@ -23,10 +25,10 @@ from repro.faults.plan import (
     PacketLossBurst,
     fault_from_dict,
 )
+from repro.core.campaign import fold_obs
 from repro.core.scenario import EmergencyBrakeScenario
 from repro.obs.context import ObsAggregate, ObsContext
 from repro.obs.metrics import Counter
-from repro.obs.profile import WallProfiler, WallStats
 from repro.obs.spans import SpanEvent, SpanStats
 
 
@@ -39,13 +41,14 @@ class TestExactCounter:
         counter = Counter()
         for _ in range(3):
             counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 5.5
+        counter.inc(2)
+        assert counter.value == 5.0
+        assert counter.to_dict() == {"value": 5.0}
 
     def test_merge_is_order_independent_bit_for_bit(self):
-        # 0.1 is not representable in binary; a float accumulator
-        # folds these differently depending on association order.
-        amounts = [0.1] * 10 + [0.2] * 10 + [0.3] * 10
+        # 2**53 + 1 is not a float; a float accumulator folds these
+        # differently depending on association order, an int cannot.
+        amounts = [2 ** 53] + [1] * 9 + [3] * 10
         shards = []
         for offset in range(3):
             shard = Counter()
@@ -64,10 +67,28 @@ class TestExactCounter:
 
     def test_roundtrip_is_stable(self):
         counter = Counter()
-        counter.inc(0.1)
-        counter.inc(0.2)
+        counter.inc(7)
+        counter.inc(2)
         again = Counter.from_dict(counter.to_dict())
         assert again.to_dict() == counter.to_dict()
+
+    def test_float_increment_raises_type_error(self):
+        counter = Counter()
+        with pytest.raises(TypeError):
+            counter.inc(2.5)
+        with pytest.raises(TypeError):
+            counter.inc(1.0)
+        assert counter.value == 0.0
+
+    def test_negative_increment_raises_value_error(self):
+        with pytest.raises(ValueError):
+            Counter().inc(-1)
+
+    def test_from_dict_rejects_fractional_value(self):
+        with pytest.raises(ValueError):
+            Counter.from_dict({"value": 2.5})
+        with pytest.raises(ValueError):
+            Counter.from_dict({"value": float("inf")})
 
 
 class TestExactSpanStats:
@@ -123,26 +144,6 @@ class TestObsRoundtrips:
         again = SpanEvent.from_dict(event.to_dict())
         assert again == event
 
-    def test_wall_stats(self):
-        stats = WallStats()
-        stats.add(0.25)
-        stats.add(0.5)
-        again = WallStats.from_dict(stats.to_dict())
-        assert again.to_dict() == stats.to_dict()
-
-    def test_wall_stats_empty(self):
-        stats = WallStats()
-        again = WallStats.from_dict(stats.to_dict())
-        assert again.to_dict() == stats.to_dict()
-
-    def test_wall_profiler(self):
-        profiler = WallProfiler()
-        profiler.observe("kernel.step", 0.001)
-        profiler.observe("kernel.step", 0.003)
-        profiler.observe("vision.canny", 0.125)
-        again = WallProfiler.from_dict(profiler.to_dict())
-        assert again.to_dict() == profiler.to_dict()
-
     def test_obs_context(self):
         ctx = ObsContext()
         ctx.count("kernel.events", 3)
@@ -150,7 +151,6 @@ class TestObsRoundtrips:
         ctx.set_gauge("queue.depth", 7)
         ctx.record_span("phy.tx", 1.0, 1.5, device="rsu")
         ctx.record_span("phy.tx", 2.0, 2.25, device="obu")
-        ctx.wall.observe("kernel.step", 0.002)
         again = ObsContext.from_dict(ctx.to_dict())
         assert again.to_dict() == ctx.to_dict()
         assert again.to_prometheus_text() == ctx.to_prometheus_text()
@@ -174,6 +174,53 @@ class TestObsRoundtrips:
         blob = json.dumps(ctx.to_dict(), sort_keys=True)
         again = ObsContext.from_dict(json.loads(blob))
         assert json.dumps(again.to_dict(), sort_keys=True) == blob
+
+
+class TestParentStoreBodies:
+    """Store bodies written before the wall profiler was removed.
+
+    Store keys carry the package version, not the obs schema, so a
+    body cached by an older build is still hit.  Its ``obs`` dict
+    carries a ``"wall"`` block, which ``from_dict`` no longer reads.
+    """
+
+    @staticmethod
+    def _obs_dict():
+        return {
+            "metrics": {
+                "kernel.events": {"kind": "counter", "value": 42.0},
+                'ca.cams_sent{device="7"}': {"kind": "counter",
+                                             "value": 3.0},
+                "obu.poll_rtt_ms": {"kind": "histogram",
+                                    "bounds": [1.0, 10.0],
+                                    "bucket_counts": [0, 1, 0],
+                                    "count": 1, "sum": "21/10"},
+            },
+            "spans": {"e2e.total": {"count": 1, "total_s": 0.5,
+                                    "min_s": 0.5, "max_s": 0.5,
+                                    "mean_s": 0.5}},
+            "span_events": [{"name": "e2e.total", "device": "run",
+                             "start": 0.25, "end": 0.75, "depth": 0}],
+        }
+
+    def test_wall_block_is_ignored_by_the_fold(self):
+        parent = self._obs_dict()
+        parent["wall"] = {
+            "kernel.step": {"count": 42, "total_s": 0.0021,
+                            "min_s": 1e-05, "max_s": 0.0002,
+                            "mean_s": 5e-05},
+            "run.total": {"count": 1, "total_s": 0.031,
+                          "min_s": 0.031, "max_s": 0.031,
+                          "mean_s": 0.031},
+        }
+        with_wall, without_wall = ObsAggregate(), ObsAggregate()
+        fold_obs(with_wall, [(parent, 0.04), (None, None)])
+        fold_obs(without_wall, [(self._obs_dict(), 0.04), (None, None)])
+        assert with_wall.sim_digest() == without_wall.sim_digest()
+        assert with_wall.to_dict() == without_wall.to_dict()
+        assert "wall" not in with_wall.to_dict()
+        counter = with_wall.metrics.counter("kernel.events")
+        assert counter.value == 42.0
 
 
 class TestFaultRoundtrips:

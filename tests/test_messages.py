@@ -278,6 +278,30 @@ class TestDenm:
         assert len(again.traces[0]) == 2
         assert abs(again.traces[0][0][0] - 1e-5) < 1e-7
 
+    def _with_traces(self, traces):
+        return dataclasses.replace(
+            Denm.collision_risk(ActionId(9, 9), 1000, POS,
+                                StationType.ROAD_SIDE_UNIT),
+            traces=traces)
+
+    def test_traces_at_size_bounds_round_trip(self):
+        trace = tuple((1e-6 * i, -1e-6 * i) for i in range(40))
+        again = Denm.decode(self._with_traces((trace,) * 7).encode())
+        assert len(again.traces) == 7
+        assert all(len(t) == 40 for t in again.traces)
+
+    def test_traces_over_size_bound_raise(self):
+        # Traces SIZE(1..7): an eighth trace is an encoding error.
+        point = ((1e-5, 2e-5),)
+        with pytest.raises(Asn1Error):
+            self._with_traces((point,) * 8).encode()
+
+    def test_trace_over_path_size_bound_raises(self):
+        # PathHistory SIZE(0..40): a 41-point trace is an error.
+        trace = tuple((1e-6 * i, 0.0) for i in range(41))
+        with pytest.raises(Asn1Error):
+            self._with_traces((trace,)).encode()
+
     def test_alacarte_round_trip(self):
         denm = dataclasses.replace(
             Denm.collision_risk(ActionId(9, 9), 1000, POS,
@@ -346,10 +370,21 @@ class TestCamLowFrequencyContainer:
         again = Cam.decode(cam.encode())
         assert again.path_history == ()
 
-    def test_path_history_capped_at_40(self):
+    def test_path_history_at_size_bound_round_trips(self):
         cam = make_cam(
             exterior_lights=(0,) * 8,
-            path_history=tuple((1e-6 * i, 0.0) for i in range(60)),
+            path_history=tuple((1e-6 * i, 0.0) for i in range(40)),
         )
         again = Cam.decode(cam.encode())
         assert len(again.path_history) == 40
+        assert abs(again.path_history[39][0] - 39e-6) < 1e-7
+
+    def test_path_history_over_size_bound_raises(self):
+        # SIZE(0..40): one point over is an encoding error, never a
+        # silently truncated (lossy) round trip.
+        cam = make_cam(
+            exterior_lights=(0,) * 8,
+            path_history=tuple((1e-6 * i, 0.0) for i in range(41)),
+        )
+        with pytest.raises(Asn1Error):
+            cam.encode()

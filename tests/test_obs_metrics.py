@@ -25,12 +25,26 @@ class TestCounter:
         counter = Counter()
         assert counter.value == 0.0
         counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
+        counter.inc(2)
+        assert counter.value == 3.0
 
     def test_rejects_negative_increment(self):
         with pytest.raises(ValueError, match=">= 0"):
-            Counter().inc(-1.0)
+            Counter().inc(-1)
+
+    def test_rejects_float_increment(self):
+        counter = Counter()
+        with pytest.raises(TypeError):
+            counter.inc(2.5)
+        with pytest.raises(TypeError):
+            counter.inc(-1.0)
+        assert counter.value == 0.0
+
+    def test_from_dict_rejects_non_integral_value(self):
+        with pytest.raises(ValueError, match="integral"):
+            Counter.from_dict({"value": 2.5})
+        with pytest.raises(ValueError, match="integral"):
+            Counter.from_dict({"value": float("nan")})
 
     def test_merge_adds(self):
         a, b = Counter(), Counter()

@@ -1,18 +1,21 @@
-"""Property tests for the histogram invariants (repro.obs.metrics).
+"""Property tests for the metric invariants (repro.obs.metrics).
 
 The campaign aggregate folds per-run registries in whatever order the
 engine streams them back; the fold is only order-independent if the
 histogram merge is exactly associative and commutative.  These
 properties, plus count/sum conservation and quantile monotonicity,
-are the contract pinned here with hypothesis.
+are the contract pinned here with hypothesis.  The integer counter is
+checked differentially against the exact-rational counter it
+replaced, which is kept here as the reference.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Histogram, MetricsRegistry
+from repro.obs import Counter, Histogram, MetricsRegistry
 
 #: Non-negative finite observations (durations, sizes).
 observations = st.lists(
@@ -105,3 +108,62 @@ def test_registry_merge_commutative(values_a, values_b):
     ba = registry(values_b)
     ba.merge(registry(values_a))
     assert ab.to_dict() == ba.to_dict()
+
+
+class _FractionCounter:
+    """Reference: the counter as an exact rational accumulator."""
+
+    def __init__(self):
+        self._value = Fraction(0)
+
+    @property
+    def value(self):
+        return float(self._value)
+
+    def inc(self, amount=1.0):
+        if amount < 0:
+            raise ValueError(f"counter increment must be >= 0, "
+                             f"got {amount}")
+        self._value += Fraction(amount)
+
+    def merge(self, other):
+        self._value += other._value
+
+    def to_dict(self):
+        return {"value": self.value}
+
+
+def _prometheus(counter):
+    """The registry's exposition text for a single labelled counter."""
+    registry = MetricsRegistry()
+    registry._metrics[("events", (("device", "obu"),))] = counter
+    registry._kinds["events"] = "counter"
+    return registry.to_prometheus_text()
+
+
+#: Non-negative increments, past 2**53 so the float export rounds.
+increments = st.lists(st.integers(min_value=0, max_value=2 ** 64),
+                      max_size=40)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), increments, st.integers(min_value=1, max_value=5))
+def test_int_counter_matches_fraction_reference(data, amounts, n_shards):
+    assignment = data.draw(st.lists(
+        st.integers(min_value=0, max_value=n_shards - 1),
+        min_size=len(amounts), max_size=len(amounts)))
+    order = data.draw(st.permutations(range(n_shards)))
+
+    def fold(kind):
+        shards = [kind() for _ in range(n_shards)]
+        for amount, shard in zip(amounts, assignment):
+            shards[shard].inc(amount)
+        total = kind()
+        for index in order:
+            total.merge(shards[index])
+        return total
+
+    counter, reference = fold(Counter), fold(_FractionCounter)
+    assert json.dumps(counter.to_dict()) == \
+        json.dumps(reference.to_dict())
+    assert _prometheus(counter) == _prometheus(reference)
