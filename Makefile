@@ -10,7 +10,7 @@ test:
 
 # The determinism linter gates on a clean tree (exit 1 on findings,
 # 2 on usage errors) and runs all four rule families: DET001..DET008,
-# SCH001..SCH003, EFF001..EFF008 and FPR001..FPR008.  ruff/mypy also
+# SCH001..SCH003, EFF001/002/006/007 and FPR001..FPR008.  ruff/mypy also
 # gate when
 # installed, and are skipped when absent so the target works in a
 # bare checkout (detlint itself needs no deps).

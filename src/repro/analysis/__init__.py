@@ -19,8 +19,8 @@ Four rule families share one engine (and one registry,
 :mod:`repro.analysis.registry`): the per-file determinism rules
 (DET001..DET008, ARCHITECTURE.md §10), the interprocedural
 schedule-race rules (SCH001..SCH003, §11), the effect-discipline
-rules (EFF001..EFF008, §15) that check durable I/O, queue
-transactions and RNG substream naming, and the fingerprint- and
+rules (EFF001, EFF002, EFF006, EFF007, §15) that check durable I/O,
+RNG substream naming and frozen specs, and the fingerprint- and
 serialization-discipline rules (FPR001..FPR008, §16) that prove
 every config field reaches its fingerprint and survives the
 ``to_dict``/``from_dict`` round trip.  Per-statement suppressions

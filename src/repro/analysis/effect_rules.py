@@ -1,15 +1,15 @@
-"""The effect-discipline rule family (EFF001..EFF008).
+"""The effect-discipline rule family (EFF001, EFF002, EFF006, EFF007).
 
-The durable work-queue backend's crash-invariance guarantee
-(ARCHITECTURE.md §14) rests on conventions nothing enforced until
-now: every durable write goes through atomic temp+rename with an
-fsync before the rename, every queue mutation happens under an
-immediate transaction with a lease-owner comparison, no campaign
-work runs while a transaction is open, every random draw flows from
-a *named* substream, frozen specs stay frozen once fingerprinted,
-and dead letters are never swallowed.  The EFF rules check those
-conventions statically on top of the interprocedural effect layer
-(:mod:`repro.analysis.interproc.effects`).
+A killed campaign resumes from the artifact store (ARCHITECTURE.md
+§6), and cached runs stay bit-identical to fresh ones, only because
+of conventions no runtime check sees: every durable write goes
+through atomic temp+rename with an fsync before the rename, every
+random draw flows from a *named* substream, and frozen specs stay
+frozen once fingerprinted.  The EFF rules check those conventions
+statically on top of the interprocedural effect layer
+(:mod:`repro.analysis.interproc.effects`).  The ids are stable:
+EFF003, EFF004, EFF005 and EFF008 checked the retired SQLite work
+queue and are not reused.
 
 ========  ==========================================================
 EFF001    durable-store write that does not flow through the atomic
@@ -19,15 +19,6 @@ EFF002    rename into place without a transitive fsync: the rename
           is atomic but the *data* may still be in the page cache,
           so a power cut can publish an empty file under a valid
           name
-EFF003    read-then-write on queue tables outside one immediate
-          transaction (or under a deferred BEGIN): two workers can
-          interleave between the read and the write
-EFF004    queue-state UPDATE touching the lease life cycle with no
-          lease-owner comparison anywhere in the function's SQL: an
-          expired worker can clobber the item it lost
-EFF005    campaign work (a run, an artifact-store call) executed
-          while a DB transaction is open: the queue lock is held
-          across a simulation, starving every other worker
 EFF006    a random draw whose generator is not interprocedurally
           traceable to a named substream (``fleet.*``, ``vary.*``,
           ``faults.*``, ``tie_break.*``): the substream *name* is
@@ -35,16 +26,13 @@ EFF006    a random draw whose generator is not interprocedurally
 EFF007    ``object.__setattr__`` on a frozen spec outside
           ``__init__``/``__post_init__``: mutation after
           fingerprinting silently decouples content from key
-EFF008    a broad ``except`` that swallows ``DeadLetterError`` (or
-          sqlite integrity errors) on a fold path without
-          re-raising: dead letters must surface, never vanish
 ========  ==========================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.interproc.effects import (
@@ -53,16 +41,10 @@ from repro.analysis.interproc.effects import (
     FS_FSYNC,
     FS_RENAME,
     FS_WRITE,
-    SIM_BUILD,
-    WORK,
-    WORK_QNAMES,
     FunctionEffects,
     is_stream_get,
     leading_literal,
     local_producer,
-    sql_is_mutation,
-    sql_mentions_table,
-    sql_updated_table,
 )
 from repro.analysis.interproc.project import ProjectContext
 from repro.analysis.rules import resolve_target
@@ -70,14 +52,7 @@ from repro.analysis.schedule_rules import ProjectRule
 
 #: Modules holding durable-store state: writes here must be atomic
 #: (EFF001) and synced before publication (EFF002).
-_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue",
-                    "repro.analysis.baseline")
-
-#: Modules that own queue transactions (EFF003/EFF004/EFF005/EFF008).
-_QUEUE_MODULES = ("repro.core.queue",)
-
-#: The queue's SQLite tables.
-_QUEUE_TABLES = ("items", "meta")
+_DURABLE_MODULES = ("repro.core.artifacts", "repro.analysis.baseline")
 
 #: module prefix -> substream-name prefixes its draws must use.
 _SUBSTREAM_SCOPES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
@@ -90,9 +65,6 @@ _SUBSTREAM_SCOPES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 #: What fixtures (and any non-``repro`` tree) must use: any of the
 #: named families.  Fixtures always face the strictest rule form.
 _ALL_PREFIXES = ("fleet.", "vary.", "faults.", "tie_break.")
-
-#: Exception classes EFF008 refuses to see swallowed.
-_GUARDED_RAISES = ("DeadLetterError",)
 
 #: Constructors whose presence in-scope means a frozen-spec module.
 _LIFECYCLE_METHODS = ("__init__", "__post_init__", "__new__",
@@ -187,132 +159,6 @@ class FsyncBeforeRenameRule(EffectRule):
                     f"data into place without any fsync on the "
                     f"path; call handle.flush() + "
                     f"os.fsync(handle.fileno()) before the rename")
-
-
-class TransactionDisciplineRule(EffectRule):
-    """Queue-table read-then-write needs one immediate transaction."""
-
-    rule_id = "EFF003"
-    title = "queue-table access outside an immediate transaction"
-    rationale = (
-        "SQLite autocommit makes each statement atomic but not the "
-        "sequence: a SELECT followed by an UPDATE outside one "
-        "BEGIN IMMEDIATE window lets a second worker interleave "
-        "between them (the double-lease bug).  A deferred BEGIN is "
-        "no better -- it only takes the write lock at the first "
-        "write, after the read raced.  Single-statement operations "
-        "(heartbeat, complete) are fine as they stand.")
-
-    def check_project(self, project: ProjectContext
-                      ) -> Iterator[Finding]:
-        for fx in _scoped(project, _QUEUE_MODULES):
-            if not fx.db_calls:
-                continue
-            windows = fx.windows()
-            queue_calls = [
-                call for call in fx.db_calls
-                if call.sql is not None and any(
-                    sql_mentions_table(call.sql, table)
-                    for table in _QUEUE_TABLES)]
-            outside = [
-                call for call in queue_calls
-                if not any(w.start_line <= call.node.lineno
-                           <= w.end_line for w in windows)]
-            mutations = [call for call in outside
-                         if sql_is_mutation(call.sql or "")]
-            if mutations and len(outside) >= 2:
-                yield self.site(
-                    project, fx, mutations[0].node,
-                    f"{fx.symbol.qname} reads and mutates queue "
-                    f"tables in autocommit: wrap the sequence in "
-                    f"one BEGIN IMMEDIATE .. COMMIT so no other "
-                    f"worker can interleave")
-            for window in windows:
-                if window.immediate:
-                    continue
-                for call in queue_calls:
-                    if window.start_line <= call.node.lineno \
-                            <= window.end_line and \
-                            sql_is_mutation(call.sql or ""):
-                        yield self.site(
-                            project, fx, call.node,
-                            f"{fx.symbol.qname} mutates queue "
-                            f"tables under a deferred BEGIN; use "
-                            f"BEGIN IMMEDIATE so the write lock is "
-                            f"taken before the reads")
-                        break
-
-
-class LeaseOwnerRule(EffectRule):
-    """Lease-cycle updates must compare the lease owner."""
-
-    rule_id = "EFF004"
-    title = "lease-state UPDATE without a lease-owner comparison"
-    rationale = (
-        "complete/fail/heartbeat on a leased item must only honour "
-        "the *current* owner: an UPDATE that matches on state alone "
-        "lets a worker whose lease expired clobber the item after "
-        "it was re-leased to someone else (the double-lease guard, "
-        "backend.py).  Every leased-state UPDATE needs "
-        "``lease_owner = ?`` in the function's SQL.")
-
-    def check_project(self, project: ProjectContext
-                      ) -> Iterator[Finding]:
-        for fx in _scoped(project, _QUEUE_MODULES):
-            sql_text = " ".join(
-                call.sql for call in fx.db_calls
-                if call.sql is not None).lower()
-            if "lease_owner" in sql_text:
-                continue
-            for call in fx.db_calls:
-                if call.sql is None:
-                    continue
-                if sql_updated_table(call.sql) == "items" and \
-                        "'leased'" in call.sql.lower():
-                    yield self.site(
-                        project, fx, call.node,
-                        f"{fx.symbol.qname} updates leased queue "
-                        f"state without comparing lease_owner; an "
-                        f"expired worker could clobber an item "
-                        f"re-leased to someone else (add AND "
-                        f"lease_owner = ? to the WHERE)")
-
-
-class WorkInTransactionRule(EffectRule):
-    """No campaign work while a DB transaction is open."""
-
-    rule_id = "EFF005"
-    title = "campaign work executed inside an open DB transaction"
-    rationale = (
-        "An immediate transaction holds the queue's write lock; "
-        "running a simulation or an artifact-store operation inside "
-        "one blocks every other worker's lease/heartbeat/complete "
-        "for the duration of the run.  Commit first, then work -- "
-        "the item life cycle (lease, execute, complete) is designed "
-        "so no invariant needs them in one transaction.")
-
-    def check_project(self, project: ProjectContext
-                      ) -> Iterator[Finding]:
-        for fx in _scoped(project, _QUEUE_MODULES):
-            windows = fx.windows()
-            if not windows:
-                continue
-            db_nodes = {id(call.node) for call in fx.db_calls}
-            for call, qname in fx.calls:
-                if qname is None or id(call) in db_nodes:
-                    continue
-                if not any(w.contains(call.lineno)
-                           for w in windows):
-                    continue
-                transitive = project.effects.of(qname)
-                if qname in WORK_QNAMES or transitive & {
-                        WORK, SIM_BUILD, FS_WRITE}:
-                    yield self.site(
-                        project, fx, call,
-                        f"{fx.symbol.qname} calls {qname} while a "
-                        f"DB transaction is open: the queue lock "
-                        f"is held across campaign work; COMMIT "
-                        f"before executing the item")
 
 
 class SubstreamDisciplineRule(EffectRule):
@@ -456,7 +302,7 @@ class FrozenMutationRule(EffectRule):
     rationale = (
         "object.__setattr__ outside __init__/__post_init__ rewrites "
         "a frozen spec *after* its fingerprint may have been taken, "
-        "silently decoupling cache keys, queue item ids and coverage "
+        "silently decoupling cache keys and coverage "
         "reports from the content they were computed over.  Build a "
         "new instance (dataclasses.replace) instead.")
 
@@ -481,101 +327,11 @@ class FrozenMutationRule(EffectRule):
                         f"dataclasses.replace to build a new spec")
 
 
-class SwallowedDeadLetterRule(EffectRule):
-    """Dead letters and integrity errors must surface."""
-
-    rule_id = "EFF008"
-    title = "broad except swallows dead-letter/integrity errors"
-    rationale = (
-        "DeadLetterError is the queue's way of saying the campaign "
-        "result would be *wrong* (items exhausted their retries); "
-        "sqlite integrity errors mean the durable state itself is "
-        "suspect.  A bare/Exception handler on such a path that "
-        "does not re-raise converts a loud, correct failure into a "
-        "silently incomplete fold.  Catch the specific classes you "
-        "can handle; let the rest propagate.")
-
-    def check_project(self, project: ProjectContext
-                      ) -> Iterator[Finding]:
-        for fx in _scoped(project, _QUEUE_MODULES):
-            call_targets = {id(call): target
-                            for call, target in fx.calls}
-            db_nodes = {id(call.node) for call in fx.db_calls}
-            for node in ast.walk(fx.symbol.node):
-                if not isinstance(node, ast.Try):
-                    continue
-                reason = self._guarded_reason(
-                    project, node, call_targets, db_nodes)
-                if reason is None:
-                    continue
-                for handler in node.handlers:
-                    if not _is_broad(handler):
-                        continue
-                    if any(isinstance(sub, ast.Raise)
-                           for stmt in handler.body
-                           for sub in ast.walk(stmt)):
-                        continue
-                    yield self.site(
-                        project, fx, handler,
-                        f"broad except in {fx.symbol.qname} "
-                        f"swallows {reason} without re-raising; "
-                        f"dead letters must surface, not fold "
-                        f"into a silently incomplete result")
-
-    def _guarded_reason(self, project: ProjectContext,
-                        node: ast.Try,
-                        call_targets: Dict[int, Optional[str]],
-                        db_nodes: Set[int]) -> Optional[str]:
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Raise) and \
-                        sub.exc is not None:
-                    exc = sub.exc.func if \
-                        isinstance(sub.exc, ast.Call) else sub.exc
-                    name = exc.attr if \
-                        isinstance(exc, ast.Attribute) else \
-                        getattr(exc, "id", None)
-                    if name in _GUARDED_RAISES:
-                        return f"a direct {name}"
-                if not isinstance(sub, ast.Call):
-                    continue
-                if id(sub) in db_nodes:
-                    return ("sqlite integrity errors (the try "
-                            "body executes SQL)")
-                target = call_targets.get(id(sub))
-                if target is None:
-                    continue
-                raised = project.effects.raises_of(target)
-                for guarded in _GUARDED_RAISES:
-                    if guarded in raised:
-                        return f"{guarded} (raised below {target})"
-        return None
-
-
-def _is_broad(handler: ast.ExceptHandler) -> bool:
-    """Bare except, or one naming Exception/BaseException."""
-    if handler.type is None:
-        return True
-    names: List[ast.expr] = [handler.type]
-    if isinstance(handler.type, ast.Tuple):
-        names = list(handler.type.elts)
-    for expr in names:
-        name = expr.attr if isinstance(expr, ast.Attribute) \
-            else getattr(expr, "id", None)
-        if name in ("Exception", "BaseException"):
-            return True
-    return False
-
-
 _EFFECT_RULES: Tuple[ProjectRule, ...] = (
     DurableWriteRule(),
     FsyncBeforeRenameRule(),
-    TransactionDisciplineRule(),
-    LeaseOwnerRule(),
-    WorkInTransactionRule(),
     SubstreamDisciplineRule(),
     FrozenMutationRule(),
-    SwallowedDeadLetterRule(),
 )
 
 
@@ -594,11 +350,7 @@ __all__ = [
     "EffectRule",
     "FrozenMutationRule",
     "FsyncBeforeRenameRule",
-    "LeaseOwnerRule",
     "SubstreamDisciplineRule",
-    "SwallowedDeadLetterRule",
-    "TransactionDisciplineRule",
-    "WorkInTransactionRule",
     "all_effect_rules",
     "effect_rule_ids",
 ]

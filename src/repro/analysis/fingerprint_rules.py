@@ -1,8 +1,8 @@
 """The fingerprint- and serialization-discipline family (FPR001..FPR008).
 
 Every caching claim in the testbed -- bit-identical campaigns served
-from the CACHE_FORMAT v5 artifact store, crash-invariant queue folds,
-salted variation caches -- reduces to one convention: every
+from the CACHE_FORMAT v5 artifact store, killed campaigns resumed
+from it, salted variation caches -- reduces to one convention: every
 behavior-affecting field of a frozen config reaches its fingerprint
 and survives ``to_dict``/``from_dict`` unchanged.  A field that leaks
 out of that loop produces the worst failure mode a cached engine has:
@@ -63,8 +63,7 @@ from repro.analysis.schedule_rules import ProjectRule
 
 #: Modules whose read paths face FPR007: the durable stores whose
 #: entries carry a format tag and an embedded digest.
-_DURABLE_MODULES = ("repro.core.artifacts", "repro.core.queue",
-                    "repro.analysis.baseline")
+_DURABLE_MODULES = ("repro.core.artifacts", "repro.analysis.baseline")
 
 #: Field names that never change execution results: folding one into
 #: a fingerprint splits the cache without protecting anything

@@ -32,13 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.interproc.symbols import FunctionSymbol
 
 #: Wall-clock and global-randomness call targets that taint a value.
-#: ``time.perf_counter`` is deliberately absent: the obs layer uses
-#: it for host-side durations that never feed simulated behaviour.
 TAINT_SOURCES: Dict[str, str] = {
     "time.time": "wall clock",
     "time.time_ns": "wall clock",
     "time.monotonic": "wall clock",
     "time.monotonic_ns": "wall clock",
+    "time.perf_counter": "wall clock",
+    "time.perf_counter_ns": "wall clock",
+    "time.process_time": "host CPU time",
+    "time.process_time_ns": "host CPU time",
     "datetime.datetime.now": "wall clock",
     "datetime.datetime.utcnow": "wall clock",
     "random.random": "unseeded randomness",

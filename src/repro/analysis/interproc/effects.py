@@ -3,27 +3,21 @@
 Where the taint fixpoint (:mod:`repro.analysis.interproc.dataflow`)
 answers "can nondeterminism reach this value", the effect layer
 answers "what does calling this function *do* to the durable world":
-write a file, rename one into place, fsync, execute SQL, open or
-close a transaction, draw from a random generator, build a simulator.
-Each function gets a *direct* effect set from its own body, then a
-fixpoint over the call graph folds callee effects into callers, so a
-rule can ask ``"fs.rename" in effects.of(qname)`` and mean
-"anywhere below this call".  Raised exception classes propagate the
-same way, which is what lets EFF008 see a ``DeadLetterError`` thrown
-three helpers deep under a bare ``except``.
+write a file, rename one into place, fsync, draw from a random
+generator.  Each function gets a *direct* effect set from its own
+body, then a fixpoint over the call graph folds callee effects into
+callers, so a rule can ask ``"fs.rename" in effects.of(qname)`` and
+mean "anywhere below this call".
 
-Everything here is static and deterministic: SQL is only inspected
-when it is a string literal at the call site, receivers are matched
-by the codebase's naming conventions (``db``/``conn``/``cur`` for
-connections, ``*stream*`` for the substream factory), and unknown
-targets contribute nothing rather than a guess.
+Everything here is static and deterministic: receivers are matched
+by the codebase's naming conventions (``*stream*`` for the substream
+factory), and unknown targets contribute nothing rather than a guess.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.interproc.callgraph import CallGraph, _FunctionResolver
@@ -36,12 +30,7 @@ FS_WRITE = "fs.write"      #: opens a file handle in a write mode
 FS_MKSTEMP = "fs.mkstemp"  #: creates a temp file (the atomic pattern)
 FS_RENAME = "fs.rename"    #: renames/replaces a file into place
 FS_FSYNC = "fs.fsync"      #: forces written bytes to disk
-DB_EXECUTE = "db.execute"  #: executes SQL on a connection/cursor
-DB_BEGIN = "db.begin"      #: opens an explicit transaction
-DB_COMMIT = "db.commit"    #: commits or rolls back one
 RNG_DRAW = "rng.draw"      #: draws from a random generator
-SIM_BUILD = "sim.build"    #: constructs a Simulator (a run begins)
-WORK = "work"              #: executes campaign work (runs, artifacts)
 
 #: Rename/replace targets (``Path.replace`` is matched structurally:
 #: a one-argument ``.replace(...)`` call -- ``str.replace`` takes two).
@@ -68,97 +57,9 @@ DRAW_METHODS = frozenset((
     "gauss", "randint", "randrange", "sample", "betavariate",
 ))
 
-#: Functions that *are* campaign work: executing one of these (or
-#: anything that reaches them) inside an open DB transaction holds
-#: the queue lock across a simulation (EFF005).  Every entry must
-#: resolve in the project symbol table; tests/analysis pins that, so
-#: a rename cannot silently blind the rule.
-WORK_QNAMES = (
-    "repro.core.queue.worker.execute_item",
-    "repro.core.campaign.execute_run",
-    "repro.core.campaign._execute_brake",
-    "repro.core.campaign._execute_fleet",
-    "repro.core.artifacts.ArtifactStore.put",
-    "repro.core.artifacts.ArtifactStore.get",
-)
-
-#: Receiver-name fragments that mark a ``.execute(...)`` call as SQL.
-_DB_RECEIVER_HINTS = ("db", "conn", "cur", "sqlite")
-
 #: Receiver-name fragment for the substream factory convention
 #: (``streams`` / ``self.streams`` / ``scoped_streams``).
 _STREAM_RECEIVER_HINT = "stream"
-
-_SQL_MUTATION_RE = re.compile(
-    r"^\s*(?:INSERT|UPDATE|DELETE|REPLACE)\b", re.IGNORECASE)
-_SQL_BEGIN_RE = re.compile(r"^\s*BEGIN\b", re.IGNORECASE)
-_SQL_IMMEDIATE_RE = re.compile(
-    r"^\s*BEGIN\s+(?:IMMEDIATE|EXCLUSIVE)\b", re.IGNORECASE)
-_SQL_CLOSE_RE = re.compile(
-    r"^\s*(?:COMMIT|ROLLBACK|END)\b", re.IGNORECASE)
-_SQL_UPDATE_RE = re.compile(r"^\s*UPDATE\s+(\w+)\b", re.IGNORECASE)
-
-
-def sql_mentions_table(sql: str, table: str) -> bool:
-    """Whether *sql* references *table* as a whole word."""
-    return re.search(rf"\b{re.escape(table)}\b", sql,
-                     re.IGNORECASE) is not None
-
-
-def sql_is_mutation(sql: str) -> bool:
-    """Whether *sql* is an INSERT/UPDATE/DELETE/REPLACE statement."""
-    return _SQL_MUTATION_RE.match(sql) is not None
-
-
-def sql_updated_table(sql: str) -> Optional[str]:
-    """The table an UPDATE statement targets, lowercased, or None."""
-    match = _SQL_UPDATE_RE.match(sql)
-    return match.group(1).lower() if match else None
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class DbCall:
-    """One SQL-ish call site inside a function body."""
-
-    node: ast.Call
-    #: ``execute`` | ``executemany`` | ``executescript`` | ``commit``
-    #: | ``rollback``.
-    method: str
-    #: The SQL string when it is a literal at the call site.
-    sql: Optional[str]
-
-    @property
-    def opens(self) -> bool:
-        """Whether this call opens an explicit transaction."""
-        return self.sql is not None and \
-            _SQL_BEGIN_RE.match(self.sql) is not None
-
-    @property
-    def immediate(self) -> bool:
-        """Whether an opened transaction is IMMEDIATE/EXCLUSIVE."""
-        return self.sql is not None and \
-            _SQL_IMMEDIATE_RE.match(self.sql) is not None
-
-    @property
-    def closes(self) -> bool:
-        """Whether this call commits or rolls back a transaction."""
-        if self.method in ("commit", "rollback"):
-            return True
-        return self.sql is not None and \
-            _SQL_CLOSE_RE.match(self.sql) is not None
-
-
-@dataclasses.dataclass(frozen=True)
-class TransactionWindow:
-    """One BEGIN..COMMIT span in a function's statement order."""
-
-    start_line: int
-    end_line: int
-    immediate: bool
-
-    def contains(self, line: int) -> bool:
-        """Whether *line* sits strictly inside the window."""
-        return self.start_line < line < self.end_line
 
 
 @dataclasses.dataclass(eq=False)
@@ -168,10 +69,6 @@ class FunctionEffects:
     symbol: FunctionSymbol
     #: Direct effect kinds of this body alone.
     direct: Set[str]
-    #: Bare class names this body raises directly.
-    raises: Set[str]
-    #: SQL-ish calls, in statement order.
-    db_calls: List[DbCall]
     #: ``open(...)``/``os.fdopen(...)`` calls in a write mode.
     write_opens: List[ast.Call]
     #: rename/replace calls.
@@ -179,33 +76,6 @@ class FunctionEffects:
     #: Every call with its strictly-resolved target (None when the
     #: receiver could not be typed; never a single-owner guess).
     calls: List[Tuple[ast.Call, Optional[str]]]
-
-    def windows(self) -> List[TransactionWindow]:
-        """The function's BEGIN..COMMIT spans, in statement order.
-
-        A BEGIN with no matching close extends to the end of the
-        function (the window is still open when it returns); closes
-        with no open window -- the ``except: ROLLBACK`` arm after a
-        committed ``try`` body -- are ignored.
-        """
-        out: List[TransactionWindow] = []
-        open_call: Optional[DbCall] = None
-        for call in self.db_calls:
-            if call.opens and open_call is None:
-                open_call = call
-            elif call.closes and open_call is not None:
-                out.append(TransactionWindow(
-                    start_line=open_call.node.lineno,
-                    end_line=call.node.lineno,
-                    immediate=open_call.immediate))
-                open_call = None
-        if open_call is not None:
-            end = getattr(self.symbol.node, "end_lineno", None)
-            out.append(TransactionWindow(
-                start_line=open_call.node.lineno,
-                end_line=end or open_call.node.lineno,
-                immediate=open_call.immediate))
-        return out
 
 
 @dataclasses.dataclass
@@ -215,20 +85,12 @@ class EffectMap:
     per_function: Dict[str, FunctionEffects]
     #: qname -> transitive effect kinds (direct plus every callee's).
     effects: Dict[str, Set[str]]
-    #: qname -> transitive raised class names.
-    raised: Dict[str, Set[str]]
 
     def of(self, qname: Optional[str]) -> Set[str]:
         """The transitive effects of *qname* (empty when unknown)."""
         if qname is None:
             return set()
         return self.effects.get(qname, set())
-
-    def raises_of(self, qname: Optional[str]) -> Set[str]:
-        """The transitive raised classes of *qname*."""
-        if qname is None:
-            return set()
-        return self.raised.get(qname, set())
 
 
 def _body_nodes(function: ast.AST) -> List[ast.AST]:
@@ -298,39 +160,18 @@ def resolve_strict(resolver: _FunctionResolver,
     return None
 
 
-#: Direct callees that mark the start of a run scope (mirrors the
-#: run-root convention in :mod:`repro.analysis.interproc.project`).
-_SIM_BUILD_TARGETS = (
-    "repro.sim.kernel.Simulator",
-    "repro.sim.kernel.Simulator.__init__",
-    "repro.sim.kernel.build_simulator",
-)
-
-
 def _extract_function(table: SymbolTable, ctx: ModuleContext,
                       symbol: FunctionSymbol) -> FunctionEffects:
     """The direct effect summary of one function body."""
     resolver = _FunctionResolver(table, ctx, symbol)
-    fx = FunctionEffects(symbol=symbol, direct=set(), raises=set(),
-                         db_calls=[], write_opens=[], renames=[],
-                         calls=[])
+    fx = FunctionEffects(symbol=symbol, direct=set(), write_opens=[],
+                         renames=[], calls=[])
     for node in _body_nodes(symbol.node):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) \
-                else node.exc
-            name = _terminal_name(exc)
-            if name is not None:
-                fx.raises.add(name)
-            continue
         if not isinstance(node, ast.Call):
             continue
         target = resolve_target(ctx, node.func)
         qname = resolve_strict(resolver, table, ctx, node.func)
         fx.calls.append((node, qname))
-        if qname in WORK_QNAMES or target in WORK_QNAMES:
-            fx.direct.add(WORK)
-        if qname in _SIM_BUILD_TARGETS:
-            fx.direct.add(SIM_BUILD)
         if isinstance(node.func, ast.Name) and \
                 node.func.id == "open" or target == "io.open":
             if _is_write_mode(_literal_str(
@@ -357,31 +198,10 @@ def _extract_function(table: SymbolTable, ctx: ModuleContext,
         if target == "os.fsync":
             fx.direct.add(FS_FSYNC)
             continue
-        if isinstance(node.func, ast.Attribute):
-            attr = node.func.attr
-            receiver = _terminal_name(node.func.value)
-            hinted = receiver is not None and any(
-                hint in receiver.lower()
-                for hint in _DB_RECEIVER_HINTS)
-            if hinted and attr in ("execute", "executemany",
-                                   "executescript"):
-                call = DbCall(node=node, method=attr,
-                              sql=_literal_str(_call_arg(node, 0, "sql")))
-                fx.db_calls.append(call)
-                fx.direct.add(DB_EXECUTE)
-                if call.opens:
-                    fx.direct.add(DB_BEGIN)
-                if call.closes:
-                    fx.direct.add(DB_COMMIT)
-                continue
-            if hinted and attr in ("commit", "rollback"):
-                fx.db_calls.append(DbCall(node=node, method=attr,
-                                          sql=None))
-                fx.direct.add(DB_COMMIT)
-                continue
-            if attr in DRAW_METHODS and isinstance(
+        if isinstance(node.func, ast.Attribute) and \
+                node.func.attr in DRAW_METHODS and isinstance(
                     node.func.value, (ast.Name, ast.Attribute)):
-                fx.direct.add(RNG_DRAW)
+            fx.direct.add(RNG_DRAW)
     return fx
 
 
@@ -409,22 +229,17 @@ def infer_effects(table: SymbolTable,
                 if callee is not None}
         for qname, fx in per_function.items()}
     effects = {q: set(fx.direct) for q, fx in per_function.items()}
-    raised = {q: set(fx.raises) for q, fx in per_function.items()}
     changed = True
     while changed:
         changed = False
         for caller in sorted(edges):
-            own_fx = effects.setdefault(caller, set())
-            own_raises = raised.setdefault(caller, set())
+            own = effects.setdefault(caller, set())
             for callee in sorted(edges[caller]):
-                for pool, own in ((effects, own_fx),
-                                  (raised, own_raises)):
-                    extra = pool.get(callee, set()) - own
-                    if extra:
-                        own |= extra
-                        changed = True
-    return EffectMap(per_function=per_function, effects=effects,
-                     raised=raised)
+                extra = effects.get(callee, set()) - own
+                if extra:
+                    own |= extra
+                    changed = True
+    return EffectMap(per_function=per_function, effects=effects)
 
 
 def leading_literal(symbol: FunctionSymbol,
@@ -488,11 +303,7 @@ def is_stream_get(call: ast.Call) -> bool:
 
 __all__ = [
     "ADHOC_RNG_CONSTRUCTORS",
-    "DB_BEGIN",
-    "DB_COMMIT",
-    "DB_EXECUTE",
     "DRAW_METHODS",
-    "DbCall",
     "EffectMap",
     "FS_FSYNC",
     "FS_MKSTEMP",
@@ -500,16 +311,9 @@ __all__ = [
     "FS_WRITE",
     "FunctionEffects",
     "RNG_DRAW",
-    "SIM_BUILD",
-    "TransactionWindow",
-    "WORK",
-    "WORK_QNAMES",
     "infer_effects",
     "is_stream_get",
     "leading_literal",
     "local_producer",
     "resolve_strict",
-    "sql_is_mutation",
-    "sql_mentions_table",
-    "sql_updated_table",
 ]

@@ -14,6 +14,7 @@ The catalogue (rationale per rule in ARCHITECTURE.md §10):
 DET001    no module-level or unseeded ``random``/``numpy.random``
           outside the ``repro.sim.randomness`` substream factory
 DET002    no wall-clock reads (``time.time``, ``time.monotonic``,
+          ``time.perf_counter``, ``time.process_time``,
           ``datetime.now``/``today``) anywhere in ``src/``
 DET003    no iteration over sets anywhere, nor over mapping views
           inside canonical exporters/mergers, without ``sorted(...)``
@@ -251,6 +252,10 @@ class WallClockRule(Rule):
         "time.time_ns": "read sim.now instead",
         "time.monotonic": "read sim.now instead",
         "time.monotonic_ns": "read sim.now instead",
+        "time.perf_counter": "read sim.now instead",
+        "time.perf_counter_ns": "read sim.now instead",
+        "time.process_time": "host CPU time, not sim time",
+        "time.process_time_ns": "host CPU time, not sim time",
         "time.localtime": "wall-clock and TZ-dependent",
         "time.gmtime": "wall-clock dependent",
         "time.ctime": "wall-clock and locale-dependent",

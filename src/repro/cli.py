@@ -14,10 +14,6 @@ Subcommands:
 * ``vary`` -- the scenario-space variation engine: sample a declared
   spec (grid / LHS / adaptive boundary refinement), run every point,
   and emit a canonical coverage report;
-* ``queue`` -- the durable work-queue campaign backend: ``enqueue``
-  items, run ``work``ers (crash-safe: lost leases requeue, exhausted
-  items dead-letter), ``drain`` to completion, inspect ``status``,
-  ``fold`` the bit-identical result;
 * ``trace`` -- one traced run as canonical JSONL + step timeline
   (``--update-golden`` refreshes the golden-trace fixtures);
 * ``lint`` -- the detlint determinism linter (rules DET001..DET008
@@ -36,16 +32,14 @@ Examples::
         --sampler adaptive --points 8 --report coverage.json
     repro-testbed vary sample --spec brake-demo --sampler lhs \
         --points 12
-    repro-testbed queue enqueue --dir /tmp/q --runs 50
-    repro-testbed queue drain --dir /tmp/q --workers 4
-    repro-testbed queue fold --dir /tmp/q
     repro-testbed trace --update-golden
 
 ``campaign``, ``cdf``, ``faults`` and ``report`` accept
 ``--workers N`` (shard runs over a process pool; bit-identical to
 serial; ``0`` = auto, one worker per CPU core) and ``--cache-dir
-DIR`` (skip already-computed runs); per-run progress streams to
-stderr.
+DIR`` (skip already-computed runs; a killed campaign re-run with the
+same directory resumes from the runs it stored); per-run progress
+streams to stderr.
 """
 
 from __future__ import annotations
@@ -137,14 +131,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="cache completed runs on disk so "
                              "repeated campaigns skip them")
-    parser.add_argument("--backend", choices=("pool", "queue"),
-                        default="pool",
-                        help="execution backend: in-process pool or "
-                             "the durable work queue (bit-identical "
-                             "results either way)")
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="queue state directory for "
-                             "--backend queue (default: temporary)")
 
 
 def _print_progress(outcome, done: int, total: int) -> None:
@@ -159,9 +145,7 @@ def _run_engine(args: argparse.Namespace, scenario=None):
         scenario if scenario is not None else _scenario_from(args),
         runs=args.runs, base_seed=args.seed,
         workers=args.workers, cache_dir=args.cache_dir,
-        progress=_print_progress,
-        backend=getattr(args, "backend", "pool"),
-        queue_dir=getattr(args, "queue_dir", None))
+        progress=_print_progress)
 
 
 def _scenario_from(args: argparse.Namespace) -> EmergencyBrakeScenario:
@@ -312,8 +296,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         envelope=SafetyEnvelope(safe_stop_margin=args.safe_margin),
         progress=plan_progress,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
     )
     print(f"Fault matrix: {len(plans)} plans x {args.runs} seeds "
           f"(base seed {args.seed})")
@@ -650,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     tie_parser.add_argument("--output", default=None, metavar="FILE",
                             help="write the full report as JSON")
     tie_parser.set_defaults(func=cmd_tie_audit)
-
-    queue_parser = sub.add_parser(
-        "queue", help="durable work-queue campaigns: enqueue / work "
-                      "/ drain / status / fold")
-    from repro.core.queue.cli import add_arguments as add_queue_arguments
-
-    add_queue_arguments(queue_parser)
 
     return parser
 

@@ -10,8 +10,8 @@ network-aided safety function, not just the communication hop.
 * :mod:`repro.core.testbed` -- the assembled emergency-braking
   testbed (Figure 8) and the serial campaign wrapper;
 * :mod:`repro.core.campaign` -- the campaign engine: one executor
-  for every scenario family (inline, process pool, work queue), run
-  caching, streamed progress;
+  for every scenario family (inline or process pool), run caching,
+  streamed progress;
 * :mod:`repro.core.latency` -- empirical distribution functions
   (Figure 11), summary statistics, distribution fitting;
 * :mod:`repro.core.braking` -- braking-distance analysis (Table III)
@@ -23,12 +23,9 @@ network-aided safety function, not just the communication hop.
 * :mod:`repro.core.fleet` -- fleet-scale scenarios: N OBUs and M RSUs
   congesting one channel, with CBR-driven DCC and campaign sharding;
 * :mod:`repro.core.artifacts` -- the content-addressed artifact
-  store behind the run cache (CACHE_FORMAT v5: sharded layout,
-  atomic writes, integrity-verified reads);
-* :mod:`repro.core.queue` -- the durable work-queue campaign backend
-  (``backend="queue"``): SQLite leases with heartbeat expiry,
-  retry/requeue on worker loss, dead-letter state, bit-identical
-  streamed fold.
+  store behind the run cache and the campaign's only durable state
+  (CACHE_FORMAT v5: sharded layout, atomic writes, integrity-verified
+  reads).
 """
 
 from repro.core.measurement import RunMeasurement, StepTimeline, Steps
@@ -36,7 +33,6 @@ from repro.core.scenario import EmergencyBrakeScenario
 from repro.core.testbed import CampaignResult, ScaleTestbed, run_campaign
 from repro.core.artifacts import ArtifactStore, CACHE_FORMAT
 from repro.core.campaign import (
-    BACKENDS,
     RunOutcome,
     run_campaign_parallel,
     scenario_fingerprint,
@@ -73,7 +69,6 @@ from repro.core.fleet import (
 
 __all__ = [
     "ArtifactStore",
-    "BACKENDS",
     "CACHE_FORMAT",
     "BlindCornerScenario",
     "BlindCornerTestbed",

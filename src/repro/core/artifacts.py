@@ -1,13 +1,14 @@
 """Content-addressed artifact store (the v5 run cache layout).
 
 Generalises the flat one-file-per-fingerprint run cache of PRs 1-4
-into a store any campaign backend can share:
+into the one durable layer of a campaign, shared by inline and pool
+runs alike:
 
 * **Content addressing** -- the key *is* the SHA-256 scenario
   fingerprint (:func:`repro.core.campaign.scenario_fingerprint`), so
-  a retried queue item, a pool worker and a cache-warm replay all
-  land on the same entry and a recompute after a crash overwrites it
-  with byte-identical content.
+  an inline run, a pool worker and a cache-warm replay all land on
+  the same entry and a recompute after a crash overwrites it with
+  byte-identical content.
 * **Sharded layout** -- entries live under
   ``<root>/objects/<key[:2]>/<key>.json`` so a campaign of thousands
   of points never piles every file into one directory.

@@ -5,12 +5,16 @@ Figure 11 EDF) and the N-OBU fleet results are repeated runs of one
 scenario with different seeds.  Each run is an independent, fully
 deterministic discrete-event simulation, which makes a campaign
 embarrassingly parallel: :func:`run_campaign_parallel` runs the
-``(scenario, seed)`` work items inline, across a
-:class:`concurrent.futures.ProcessPoolExecutor` or on the durable work
-queue of :mod:`repro.core.queue`, streams results back as they
-complete, and folds them into the family's campaign result.  What
-differs between families is one :class:`ScenarioFamily` entry of
+``(scenario, seed)`` work items inline or across a
+:class:`concurrent.futures.ProcessPoolExecutor`, streams results back
+as they complete, and folds them into the family's campaign result.
+What differs between families is one :class:`ScenarioFamily` entry of
 :data:`FAMILIES`; each execution path is written once.
+
+The :class:`~repro.core.artifacts.ArtifactStore` is the only durable
+state: every finished run is stored before its progress is reported,
+so a campaign killed mid-run resumes from its stored runs when re-run
+with the same *cache_dir*.
 
 Two guarantees hold by construction and are enforced by the test
 suite (``tests/test_campaign_engine.py``,
@@ -42,20 +46,12 @@ from repro.core.fleet.result import FleetCampaignResult, FleetRunResult
 from repro.core.fleet.scenario import FleetScenario, fleet_fingerprint
 from repro.core.fleet.testbed import FleetTestbed
 from repro.core.measurement import RunMeasurement
-from repro.core.scenario import EmergencyBrakeScenario, scenario_from_dict
+from repro.core.scenario import EmergencyBrakeScenario
 from repro.core.testbed import CampaignResult, ScaleTestbed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
     from repro.obs import ObsAggregate, ObsContext
-
-#: The campaign execution backends ``run_campaign_parallel`` (and
-#: everything riding it) can shard over: ``pool`` is the in-process
-#: ``ProcessPoolExecutor`` sharding, ``queue`` the durable SQLite work
-#: queue of :mod:`repro.core.queue` (leases, heartbeat expiry,
-#: retry/requeue on worker loss, dead-letter after bounded retries).
-#: Both fold to bit-identical results by construction.
-BACKENDS = ("pool", "queue")
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +114,12 @@ def _execute_fleet(scenario: FleetScenario, run_id: int,
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioFamily:
-    """Everything the engine needs to run, cache, queue and fold one
-    scenario family."""
+    """Everything the engine needs to run, cache and fold one scenario
+    family."""
 
-    #: Queue item kind, store body ``kind`` and queue-meta ``family``.
+    #: Store body ``kind``.
     name: str
     scenario_type: type
-    scenario_to_dict: Callable[[Any], Dict[str, Any]]
-    scenario_from_dict: Callable[[Dict[str, Any]], Any]
     #: Cache key of one run: ``key(scenario, fault_plan, salt)``.
     key: Callable[..., str]
     #: One run on a fresh testbed:
@@ -136,8 +130,7 @@ class ScenarioFamily:
     result_from_dict: Callable[[Dict[str, Any]], Any]
     #: ``campaign_result(scenario=, runs=, obs=)``.
     campaign_result: Callable[..., Any]
-    #: Whether runs take a fault plan and cache salt (and queue
-    #: payloads carry the plan).
+    #: Whether runs take a fault plan and cache salt.
     takes_faults: bool
 
     def body(self, result: Any) -> Dict[str, Any]:
@@ -167,8 +160,6 @@ FAMILIES: Dict[str, ScenarioFamily] = {
     "brake": ScenarioFamily(
         name="brake",
         scenario_type=EmergencyBrakeScenario,
-        scenario_to_dict=dataclasses.asdict,
-        scenario_from_dict=scenario_from_dict,
         key=scenario_fingerprint,
         execute=_execute_brake,
         body_field="measurement",
@@ -179,11 +170,6 @@ FAMILIES: Dict[str, ScenarioFamily] = {
     "fleet": ScenarioFamily(
         name="fleet",
         scenario_type=FleetScenario,
-        # to_dict (not asdict): emits the threshold tuple as a list,
-        # so a queue payload is a JSON fixed point and hashes
-        # identically before and after a round trip.
-        scenario_to_dict=FleetScenario.to_dict,
-        scenario_from_dict=FleetScenario.from_dict,
         # Fleets take no fault plan or salt (see check_faults).
         key=lambda scenario, fault_plan, salt: fleet_fingerprint(scenario),
         execute=_execute_fleet,
@@ -249,16 +235,21 @@ def execute_run(family: ScenarioFamily, scenario: Any, run_id: int,
 
     With *observe* the run is instrumented with a fresh
     :class:`~repro.obs.ObsContext`; instrumentation never touches RNG
-    draws or event scheduling, so the result is unchanged.
+    draws or event scheduling, so the result is unchanged.  The wall
+    seconds come from the host clock, read before and after the run
+    in one left-to-right tuple; they feed only
+    ``ObsAggregate.run_wall_seconds``, never a simulated path.
     """
     obs_ctx = None
     if observe:
         from repro.obs import ObsContext
 
         obs_ctx = ObsContext()
-    started = perf_counter()
-    result = family.execute(scenario, run_id, fault_plan, obs_ctx)
-    return result, obs_ctx, perf_counter() - started
+    started, result, stopped = (  # detlint: ignore[DET002] -- host wall time of one run, reported in ObsAggregate.run_wall_seconds only; nothing simulated reads it
+        perf_counter(),
+        family.execute(scenario, run_id, fault_plan, obs_ctx),
+        perf_counter())
+    return result, obs_ctx, stopped - started
 
 
 def _execute_pooled(family_name: str, scenario: Any, run_id: int,
@@ -302,8 +293,6 @@ def run_campaign_parallel(
     fault_plan: Optional["FaultPlan"] = None,
     obs: Optional["ObsAggregate"] = None,
     cache_salt: Optional[str] = None,
-    backend: str = "pool",
-    queue_dir: Optional[str] = None,
 ) -> Any:
     """Run *runs* repetitions of *scenario*, sharded over *workers*.
 
@@ -335,14 +324,9 @@ def run_campaign_parallel(
     fingerprint (see :func:`scenario_fingerprint`); it never changes
     what is simulated, only under which key the result is cached.
 
-    *backend* selects where the work items execute: ``"pool"`` (the
-    default) or ``"queue"`` (the durable SQLite work queue of
-    :mod:`repro.core.queue`: *workers* independent worker processes
-    lease items, lost leases are requeued after heartbeat expiry, and
-    exhausted items dead-letter).  Both backends fold to bit-identical
-    results; the queue keeps its state under *queue_dir* (a temporary
-    directory when None) so a killed campaign can be resumed or
-    inspected with the ``queue`` CLI.
+    Each simulated run is stored under *cache_dir* before *progress*
+    hears of it, so re-running a killed campaign with the same
+    *cache_dir* re-simulates only the runs it had not stored.
     """
     if scenario is None:
         scenario = EmergencyBrakeScenario()
@@ -352,20 +336,9 @@ def run_campaign_parallel(
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = auto), "
                          f"got {workers}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}")
     fault_plan = check_faults(family, fault_plan, cache_salt)
     if workers == 0:
         workers = os.cpu_count() or 1
-    if backend == "queue":
-        from repro.core.queue.campaign import run_on_queue
-
-        return run_on_queue(
-            scenario, runs=runs, base_seed=base_seed,
-            workers=workers, cache_dir=cache_dir, progress=progress,
-            fault_plan=fault_plan, obs=obs, cache_salt=cache_salt,
-            queue_dir=queue_dir)
     store = ArtifactStore(cache_dir) if cache_dir else None
 
     results: Dict[int, Any] = {}

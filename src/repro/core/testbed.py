@@ -462,7 +462,7 @@ class CampaignResult:
     def digest(self) -> str:
         """SHA-256 over the canonical run population.
 
-        The bit-identity witness the backend-equivalence tests pin:
+        The bit-identity witness the serial/parallel tests pin:
         two campaigns agree on every measurement of every run -- and
         hence on every derived statistic -- iff their digests match.
         Hashes the ordered run dicts only, not the observability

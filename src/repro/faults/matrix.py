@@ -146,8 +146,6 @@ def run_fault_matrix(
     envelope: Optional[SafetyEnvelope] = None,
     progress: Optional[MatrixProgress] = None,
     cache_salt: Optional[str] = None,
-    backend: str = "pool",
-    queue_dir: Optional[str] = None,
 ) -> FaultMatrixResult:
     """Run every plan over the same seed population and classify.
 
@@ -158,26 +156,15 @@ def run_fault_matrix(
     *cache_salt* is forwarded into every run's cache fingerprint (the
     variation engine namespaces its points this way); it never changes
     what is simulated.
-
-    *backend*/*queue_dir* forward to the campaign engine: with
-    ``backend="queue"`` each plan's population runs on the durable
-    work queue (per-plan queue state under ``queue_dir/plan-<i>``),
-    surviving worker loss without changing any verdict.
     """
     scenario = scenario or EmergencyBrakeScenario()
     envelope = envelope or SafetyEnvelope()
     rows: List[FaultMatrixRow] = []
     for index, plan in enumerate(plans):
-        plan_queue_dir = None
-        if queue_dir is not None:
-            import os
-
-            plan_queue_dir = os.path.join(queue_dir, f"plan-{index}")
         result = run_campaign_parallel(
             scenario, runs=runs, base_seed=base_seed, workers=workers,
             cache_dir=cache_dir, fault_plan=plan,
-            cache_salt=cache_salt, backend=backend,
-            queue_dir=plan_queue_dir)
+            cache_salt=cache_salt)
         verdicts = [evaluate(measurement, envelope)
                     for measurement in result.runs]
         rows.append(FaultMatrixRow(plan=plan, verdicts=verdicts))

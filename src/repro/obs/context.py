@@ -185,7 +185,7 @@ class ObsAggregate:
         wall times, which are real measured durations and never
         reproducible.  Two campaigns
         over the same work fold to the same ``sim_digest`` whatever
-        the backend, worker count or crash history.
+        the worker count or completion order.
         """
         import hashlib
 

@@ -4,10 +4,10 @@ This is the layer that ties the variation engine together: a
 :class:`~repro.vary.space.VariationSpec` is sampled
 (:mod:`repro.vary.samplers`), every point is materialised
 (:mod:`repro.vary.materialize`) and fed through the existing
-deterministic campaign engine -- through
-:func:`repro.faults.matrix.run_fault_matrix` for the emergency-brake
-family, :func:`repro.core.campaign.run_campaign_parallel` directly for
-the fleet family -- and every outcome folds into an exactly-mergeable
+deterministic campaign engine,
+:func:`repro.core.campaign.run_campaign_parallel`, for either family
+-- brake runs are then classified against the safety envelope -- and
+every outcome folds into an exactly-mergeable
 :class:`~repro.vary.coverage.CoverageModel`.
 
 Determinism contract: for a fixed ``(spec, sampler, seed)`` the whole
@@ -23,8 +23,8 @@ seed)`` by salting every point's campaign with
 ``<spec fingerprint>:<point key>`` (see
 :func:`repro.core.campaign.scenario_fingerprint`).  Fleet runs cache
 under :func:`~repro.core.fleet.scenario.fleet_fingerprint`, the key
-the queue backend writes for fleet items: the materialised fleet
-scenario already pins everything a run depends on.
+every fleet campaign uses: the materialised fleet scenario already
+pins everything a run depends on.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from typing import (
 
 from repro.core.campaign import run_campaign_parallel
 from repro.core.fleet.scenario import FleetScenario
-from repro.faults.envelope import SafetyEnvelope
-from repro.faults.matrix import run_fault_matrix
+from repro.faults.envelope import SafetyEnvelope, evaluate
 from repro.faults.plan import FaultPlan
 from repro.vary.coverage import (
     CoverageModel,
@@ -210,22 +209,13 @@ def _evaluate_point(
     cache_dir: Optional[str],
     tie_break: Optional[str],
     envelope: Optional[SafetyEnvelope],
-    backend: str = "pool",
-    queue_dir: Optional[str] = None,
 ) -> Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[str, ...]]:
     """Run one point: (verdicts, latencies ms, fault kinds)."""
     point = materialize(spec, values, tie_break=tie_break)
-    salt = f"{spec.fingerprint()}:{key}"
-    point_queue_dir = None
-    if queue_dir is not None:
-        import os
-
-        point_queue_dir = os.path.join(queue_dir, f"point-{key[:12]}")
     if isinstance(point.scenario, FleetScenario):
         campaign = run_campaign_parallel(
             point.scenario, runs=runs_per_point, base_seed=base_seed,
-            workers=workers, cache_dir=cache_dir, backend=backend,
-            queue_dir=point_queue_dir)
+            workers=workers, cache_dir=cache_dir)
         verdicts = tuple(run.verdict for run in campaign.runs)
         latencies = tuple(sorted(
             value for run in campaign.runs
@@ -233,15 +223,16 @@ def _evaluate_point(
         kinds: Tuple[str, ...] = ()
     else:
         plan = point.fault_plan or FaultPlan.empty()
-        matrix = run_fault_matrix(
-            scenario=point.scenario, plans=[plan],
-            runs=runs_per_point, base_seed=base_seed, workers=workers,
-            cache_dir=cache_dir, envelope=envelope, cache_salt=salt,
-            backend=backend, queue_dir=point_queue_dir)
-        row = matrix.rows[0]
-        verdicts = tuple(entry.verdict for entry in row.verdicts)
+        campaign = run_campaign_parallel(
+            point.scenario, runs=runs_per_point, base_seed=base_seed,
+            workers=workers, cache_dir=cache_dir, fault_plan=plan,
+            cache_salt=f"{spec.fingerprint()}:{key}")
+        envelope = envelope or SafetyEnvelope()
+        classified = [evaluate(measurement, envelope)
+                      for measurement in campaign.runs]
+        verdicts = tuple(entry.verdict for entry in classified)
         latencies = tuple(sorted(
-            entry.total_delay_ms for entry in row.verdicts
+            entry.total_delay_ms for entry in classified
             if entry.total_delay_ms is not None))
         kinds = tuple(sorted({fault.KIND for fault in plan.faults}))
     return verdicts, latencies, kinds
@@ -273,8 +264,6 @@ def run_variation_campaign(
     tie_break: Optional[str] = None,
     envelope: Optional[SafetyEnvelope] = None,
     progress: Optional[VaryProgress] = None,
-    backend: str = "pool",
-    queue_dir: Optional[str] = None,
 ) -> VariationResult:
     """Sample *spec*, run every point, and fold coverage.
 
@@ -289,10 +278,7 @@ def run_variation_campaign(
     the family's parallel engine; *workers* only shards those runs --
     the report is byte-identical for any value.  *tie_break*
     optionally overrides the kernel tie-break policy per run and by
-    design cannot change any result.  *backend*/*queue_dir* forward
-    to the campaign engine (``"queue"`` = the durable work queue,
-    per-point state under ``queue_dir/point-<key>``); the backend
-    cannot change any result either.
+    design cannot change any result.
 
     A spec whose constraints reject every candidate point raises
     :class:`~repro.vary.space.InfeasibleSpecError` -- an empty
@@ -338,14 +324,13 @@ def run_variation_campaign(
     seen_keys: Set[str] = set()
     refinements: List[Refinement] = []
 
-    def evaluate(values: Dict[str, AxisValue], origin: str,
-                 parents: Tuple[str, ...]) -> None:
+    def run_point(values: Dict[str, AxisValue], origin: str,
+                  parents: Tuple[str, ...]) -> None:
         key = point_key(values)
         seen_keys.add(key)
         verdicts, latencies, kinds = _evaluate_point(
             spec, values, key, runs_per_point, base_seed, workers,
-            cache_dir, tie_break, envelope, backend=backend,
-            queue_dir=queue_dir)
+            cache_dir, tie_break, envelope)
         point = PointResult(
             index=len(results), values=values, key=key,
             origin=origin, parents=parents, verdicts=verdicts,
@@ -358,7 +343,7 @@ def run_variation_campaign(
             progress(len(results), point)
 
     for values in initial:
-        evaluate(values, origin, ())
+        run_point(values, origin, ())
 
     for _ in range(rounds):
         batch = refine_points(spec, evaluated, budget=refine_budget,
@@ -367,9 +352,9 @@ def run_variation_campaign(
             break
         refinements.extend(batch)
         for refinement in batch:
-            evaluate(refinement.values, "refine",
-                     (refinement.parent_safe,
-                      refinement.parent_unsafe))
+            run_point(refinement.values, "refine",
+                      (refinement.parent_safe,
+                       refinement.parent_unsafe))
 
     return VariationResult(spec=spec, sampler=sampler_meta,
                            points=results, coverage=coverage,

@@ -12,5 +12,9 @@ def tick():
     return time.monotonic()
 
 
+def lap():
+    return time.perf_counter()
+
+
 def born():
     return datetime.now()

@@ -1,12 +1,10 @@
-"""DET002 negative fixture: only duration profiling, no wall reads."""
-
-from time import perf_counter
+"""DET002 negative fixture: time comes from the simulator clock."""
 
 
-def measure(work):
-    begin = perf_counter()
+def measure(sim, work):
+    begin = sim.now
     work()
-    return perf_counter() - begin
+    return sim.now - begin
 
 
 def simulated_now(sim):

@@ -58,7 +58,7 @@ class TestDetlintCli:
         # The error must teach the valid families, not just reject.
         assert "DET001..DET008" in err
         assert "SCH001..SCH003" in err
-        assert "EFF001..EFF008" in err
+        assert "EFF001..EFF007" in err
 
     def test_unknown_ignore_rule_is_usage_error(self, capsys):
         assert detlint_main([FIXTURES, "--ignore", "EFF999"]) == 2
@@ -74,10 +74,10 @@ class TestDetlintCli:
 class TestExitCodeMatrix:
     """0 clean / 1 findings / 2 usage errors, across all families."""
 
-    CLEAN = ("det001_good.py", "sch001_good.py", "eff003_good.py")
+    CLEAN = ("det001_good.py", "sch001_good.py", "eff001_good.py")
     DIRTY = {"det006_bad.py": "DET006",
              "sch001_bad.py": "SCH001",
-             "eff004_bad.py": "EFF004"}
+             "eff007_bad.py": "EFF007"}
 
     def test_clean_fixture_from_each_family_exits_zero(self, capsys):
         for name in self.CLEAN:

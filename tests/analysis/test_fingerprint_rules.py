@@ -153,12 +153,12 @@ class TestRegistry:
         assert FAMILY_PREFIXES == ("DET", "SCH", "EFF", "FPR")
         spans = [family.span for family in rule_families()]
         assert spans == ["DET001..DET008", "SCH001..SCH003",
-                         "EFF001..EFF008", "FPR001..FPR008"]
+                         "EFF001..EFF007", "FPR001..FPR008"]
 
     def test_registered_ids_are_sorted_and_unique(self):
         ids = registered_rule_ids()
         assert list(ids) == sorted(set(ids))
-        assert len(ids) == 8 + 3 + 8 + 8
+        assert len(ids) == 8 + 3 + 4 + 8
 
     def test_project_rules_cover_sch_eff_fpr(self):
         prefixes = {rule.rule_id[:3]
@@ -176,7 +176,7 @@ class TestRegistry:
     def test_family_summary_names_every_family(self):
         summary = family_summary()
         for span in ("DET001..DET008", "SCH001..SCH003",
-                     "EFF001..EFF008", "FPR001..FPR008"):
+                     "EFF001..EFF007", "FPR001..FPR008"):
             assert span in summary
 
     def test_unknown_rule_error_names_the_families(self):

@@ -25,7 +25,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 #: rule id -> how many findings its positive fixture must produce.
 EXPECTED_BAD = {
     "DET001": 5,
-    "DET002": 3,
+    "DET002": 4,
     "DET003": 3,
     "DET004": 1,
     "DET005": 2,

@@ -43,7 +43,7 @@ class TestSarifReporter:
         ids = [rule["id"] for rule in rules]
         assert ids == sorted(ids)
         for rule_id in ("DET001", "DET008", "SCH001", "SCH003",
-                        "EFF001", "EFF008"):
+                        "EFF001", "EFF007"):
             assert rule_id in ids
         for rule in rules:
             assert rule["shortDescription"]["text"]

@@ -1,6 +1,6 @@
 """Tests for the parallel campaign execution engine.
 
-Three invariants of :mod:`repro.core.campaign`:
+Four invariants of :mod:`repro.core.campaign`:
 
 * serial and parallel campaigns yield bit-identical populations;
 * every run is deterministic in its seed (the property the
@@ -8,11 +8,19 @@ Three invariants of :mod:`repro.core.campaign`:
 * the on-disk run cache (the artifact store plus the family's
   decode) is transparent -- hits return the identical measurement,
   any config change invalidates the key, corruption and undecodable
-  bodies fall back to recomputation.
+  bodies fall back to recomputation;
+* the artifact store is the campaign's durable state: a pool
+  campaign SIGKILLed mid-run resumes from the runs it stored and
+  folds to the digest of an uninterrupted serial run.
 """
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +33,8 @@ from repro.core import (
     run_campaign_parallel,
     scenario_fingerprint,
 )
-from repro.core.artifacts import ArtifactStore
-from repro.core.campaign import CACHE_FORMAT, FAMILIES
+from repro.core.artifacts import ArtifactStore, CACHE_FORMAT, body_digest
+from repro.core.campaign import FAMILIES
 from repro.sim.randomness import RandomStreams
 
 #: A short scenario so each test run stays fast.
@@ -321,3 +329,127 @@ class TestRunCache:
         for root, _dirs, files in os.walk(str(tmp_path)):
             assert all(name.endswith(".json") for name in files), \
                 (root, files)
+
+
+class TestArtifactStore:
+    def test_round_trip_and_sharded_layout(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        key = "ab" + "0" * 62
+        body = {"kind": "brake", "measurement": {"x": 1.5}}
+        path = store.put(key, body)
+        assert path == os.path.join(
+            str(tmp_path), "objects", "ab", f"{key}.json")
+        assert store.get(key) == body
+        assert store.has(key)
+        assert store.keys() == [key]
+
+    def test_missing_key_is_none(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        assert store.get("00" * 32) is None
+        assert not store.has("00" * 32)
+
+    def test_corrupt_body_fails_verification(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        key = "cd" + "0" * 62
+        store.put(key, {"value": 1})
+        with open(store.path(key), "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["body"]["value"] = 2  # digest now stale
+        with open(store.path(key), "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        assert store.get(key) is None
+
+    def test_wrong_format_version_is_miss(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        key = "ef" + "0" * 62
+        store.put(key, {"value": 1})
+        with open(store.path(key), "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["format"] = CACHE_FORMAT + 1
+        with open(store.path(key), "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        assert store.get(key) is None
+
+    def test_truncated_entry_is_miss(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        key = "0a" + "0" * 62
+        store.put(key, {"value": 1})
+        with open(store.path(key), "w", encoding="utf-8") as handle:
+            handle.write('{"format": 5, "sha')
+        assert store.get(key) is None
+
+    def test_overwrite_is_idempotent(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        key = "1b" + "0" * 62
+        store.put(key, {"value": 1})
+        store.put(key, {"value": 1})
+        assert store.keys() == [key]
+        assert store.get(key) == {"value": 1}
+
+    def test_body_digest_is_canonical(self):
+        assert body_digest({"b": 1, "a": 2}) == \
+            body_digest({"a": 2, "b": 1})
+
+
+#: The child of the crash test: a cached two-worker pool campaign
+#: whose progress callback marks the second stored run and then
+#: blocks, so the kill lands with exactly two entries on disk
+#: (``finish`` stores a run before it reports progress).
+CRASH_CHILD = textwrap.dedent("""
+    import sys
+    import threading
+
+    from repro.core import EmergencyBrakeScenario, run_campaign_parallel
+
+    cache_dir, marker = sys.argv[1:3]
+
+    def progress(outcome, done, total):
+        if done == 2:
+            with open(marker, "w") as handle:
+                handle.write("stored 2")
+            threading.Event().wait()
+
+    run_campaign_parallel(
+        EmergencyBrakeScenario(start_distance=4.0, timeout=15.0),
+        runs=8, workers=2, cache_dir=cache_dir, progress=progress)
+""")
+
+
+class TestKilledCampaignResumes:
+    """The artifact store is the only durable state a campaign needs."""
+
+    def test_sigkilled_pool_campaign_resumes_to_serial_digest(
+            self, tmp_path):
+        import repro
+
+        cache_dir = str(tmp_path / "cache")
+        marker = str(tmp_path / "marker")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", CRASH_CHILD, cache_dir, marker],
+            env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 300.0
+            while not os.path.exists(marker):
+                assert child.poll() is None, child.stderr.read()
+                assert time.monotonic() < deadline, "child never stored"
+                time.sleep(0.05)
+        finally:
+            # The session holds the pool workers too: kill them all.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait(timeout=60)
+            child.stderr.close()
+        assert child.returncode == -signal.SIGKILL
+        assert len(ArtifactStore(cache_dir).keys()) == 2
+
+        cached = []
+        resumed = run_campaign_parallel(
+            FAST, runs=8, workers=2, cache_dir=cache_dir,
+            progress=lambda o, d, t: cached.append(o.cached))
+        assert sum(cached) >= 2
+        assert len(cached) == 8
+        assert resumed.digest() == run_campaign_parallel(
+            FAST, runs=8, workers=1).digest()

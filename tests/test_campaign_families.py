@@ -1,20 +1,17 @@
 """One campaign engine over the scenario-family table.
 
 :func:`repro.core.campaign.run_campaign_parallel` runs both families
-(emergency brake and fleet) through the same inline, pool and queue
-paths.  This file pins what must hold for *every* family:
+(emergency brake and fleet) through the same inline and pool paths.
+This file pins what must hold for *every* family:
 
 * argument validation (negative runs or workers, ``workers=0`` = one
   pool worker per core);
 * progress streams :class:`~repro.core.campaign.RunOutcome` records;
-* queue item ids and result keys are byte-stable: the pinned values
-  below were minted by the per-family enqueue functions the engine
-  replaced, so queues written by earlier versions still resume and
-  fold.
+* cache keys are byte-stable: the pinned values below address runs
+  stored by earlier versions, so existing stores keep serving hits.
 """
 
 import concurrent.futures
-import dataclasses
 import os
 
 import pytest
@@ -24,16 +21,8 @@ from repro.core.campaign import (
     FAMILIES,
     family_of,
     run_campaign_parallel,
-    scenario_fingerprint,
 )
-from repro.core.fleet.scenario import FleetScenario, fleet_fingerprint
-from repro.core.queue import QueueItem, WorkQueue, enqueue_campaign
-from repro.core.queue.backend import item_identity
-from repro.core.queue.campaign import (
-    drive_queue,
-    fold_queue_campaign,
-    queue_paths,
-)
+from repro.core.fleet.scenario import FleetScenario
 from repro.core.scenario import EmergencyBrakeScenario
 from repro.faults.catalogue import plans_by_name
 
@@ -141,72 +130,18 @@ class TestProgressAndCache:
         assert body["kind"] == family.name
 
 
-class TestQueueIdentity:
-    """Pinned ids: the refactor must not re-key existing queues."""
+class TestCacheKeys:
+    """Pinned keys: stored runs stay addressable across refactors."""
 
-    def test_brake_item_id_and_result_key(self, tmp_path):
-        queue = WorkQueue(str(tmp_path / "q.sqlite"))
-        enqueue_campaign(
-            queue, EmergencyBrakeScenario(start_distance=4.0), runs=1,
-            base_seed=3, fault_plan=plans_by_name()["rsu_outage"],
-            cache_salt="s")
-        [item] = queue.items()
-        queue.close()
-        assert item["item_id"] == ("9e8183bf0915ff40833bee4d586e196b"
-                                   "d20eebcca2d022b0611b230f3dadd4c6")
-        assert item["payload"]["result_key"] == (
-            "0850dc279f107507a258dc2f577e121f"
-            "df8fa73c62dc7b92b004153603cdaae8")
+    def test_brake_key(self):
+        key = FAMILIES["brake"].key(
+            EmergencyBrakeScenario(start_distance=4.0).with_seed(3),
+            plans_by_name()["rsu_outage"], "s")
+        assert key == ("0850dc279f107507a258dc2f577e121f"
+                       "df8fa73c62dc7b92b004153603cdaae8")
 
-    def test_fleet_item_id_and_result_key(self, tmp_path):
-        queue = WorkQueue(str(tmp_path / "q.sqlite"))
-        enqueue_campaign(queue, FleetScenario(n_obus=4), runs=1,
-                         base_seed=5, observe=True)
-        [item] = queue.items()
-        queue.close()
-        assert item["item_id"] == ("6cd447182e62932ce4576fcd468a6fc8"
-                                   "49f359b6efdfb4f5265f7672d26c1205")
-        assert item["payload"]["result_key"] == (
-            "b41781609fcfccd199810ec5e3f0cc39"
-            "9722d52b154ab71c5fec789af83a84be")
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_queue_in_the_earlier_layout_folds(self, name, tmp_path):
-        # Items and meta exactly as the per-family enqueue functions
-        # wrote them: brake payloads carry "fault_plan" and the meta a
-        # "cache_salt"; fleet payloads and meta carry neither.
-        scenario = SCENARIOS[name]
-        paths = queue_paths(str(tmp_path / "q"))
-        queue = WorkQueue(paths["queue"])
-        items = []
-        for index in range(2):
-            run_scenario = scenario.with_seed(1 + index)
-            if name == "brake":
-                payload = {
-                    "scenario": dataclasses.asdict(run_scenario),
-                    "fault_plan": None,
-                    "result_key": scenario_fingerprint(run_scenario),
-                }
-            else:
-                payload = {
-                    "scenario": run_scenario.to_dict(),
-                    "result_key": fleet_fingerprint(run_scenario),
-                }
-            payload.update(run_id=index + 1, plan_index=0,
-                           observe=False)
-            items.append(QueueItem(item_id=item_identity(name, payload),
-                                   kind=name, payload=payload))
-        meta = {"family": name, "runs": 2, "base_seed": 1,
-                "observe": False,
-                "scenario": FAMILIES[name].scenario_to_dict(scenario)}
-        if name == "brake":
-            meta["cache_salt"] = None
-        queue.set_meta("campaign", meta)
-        assert queue.enqueue(items, max_attempts=3) == 2
-        # Re-enqueueing through the engine inserts nothing: same ids.
-        assert enqueue_campaign(queue, scenario, runs=2) == 0
-        drive_queue(queue, paths["queue"], paths["store"], workers=1)
-        folded = fold_queue_campaign(queue, ArtifactStore(paths["store"]))
-        queue.close()
-        assert folded.digest() == run_campaign_parallel(
-            scenario, runs=2).digest()
+    def test_fleet_key(self):
+        key = FAMILIES["fleet"].key(FleetScenario(n_obus=4).with_seed(5),
+                                    None, None)
+        assert key == ("b41781609fcfccd199810ec5e3f0cc39"
+                       "9722d52b154ab71c5fec789af83a84be")

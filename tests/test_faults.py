@@ -378,20 +378,6 @@ class TestFaultsCli:
         assert "spurious_denm" in out
         assert "availability" in out
 
-    def test_backend_queue_reaches_the_engine(self, tmp_path, capsys):
-        from repro.cli import main
-
-        argv = ["faults", "--runs", "1", "--start-distance", "4.0",
-                "--plan", "baseline"]
-        assert main(argv) == 0
-        pool_out = capsys.readouterr().out
-        qdir = tmp_path / "q"
-        assert main(argv + ["--backend", "queue",
-                            "--queue-dir", str(qdir)]) == 0
-        assert capsys.readouterr().out == pool_out
-        # The plan's population really ran on the work queue.
-        assert (qdir / "plan-0" / "queue.sqlite").exists()
-
     def test_unknown_plan_fails_cleanly(self):
         from repro.cli import main
 

@@ -213,8 +213,8 @@ class TestStaleCacheRegressions:
                     (entry.name, field)
 
     def test_fleet_payload_is_a_json_fixed_point(self):
-        # to_dict emits the threshold tuple as a list, so the queue
-        # payload hashes identically before and after a round trip.
+        # to_dict emits the threshold tuple as a list, so the payload
+        # hashes identically before and after a JSON round trip.
         payload = FleetScenario().to_dict()
         assert payload == json.loads(json.dumps(payload))
 

@@ -14,7 +14,12 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 import sys
+
+#: The `` at 0x...`` part of a default object's repr: a memory
+#: address that differs on every import.
+_ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def first_paragraph(doc: str | None) -> str:
@@ -48,8 +53,10 @@ def public_members(module):
 
 
 def signature_of(obj) -> str:
+    """The call signature, with default reprs' addresses stripped so
+    two regenerations are byte-identical."""
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS_RE.sub("", str(inspect.signature(obj)))
     except (ValueError, TypeError):
         return "(...)"
 
