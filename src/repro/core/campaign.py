@@ -149,7 +149,7 @@ class ScenarioFamily:
             return None
         try:
             result = self.result_from_dict(body[self.body_field])
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None
         result.run_id = run_id
         return result

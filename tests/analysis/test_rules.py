@@ -15,6 +15,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.rules import (
     PoolBoundaryRule,
+    WallClockRule,
     build_context,
     resolve_target,
     rule_ids,
@@ -92,6 +93,26 @@ class TestAllowlists:
     def test_fixture_paths_never_match_repro_allowlists(self):
         assert not module_name_for(
             fixture_path("det001_bad.py")).startswith("repro.")
+
+
+class TestWallClockTargets:
+    """DET002 fires on every banned clock, however it was imported."""
+
+    @pytest.mark.parametrize("target", sorted(WallClockRule._BANNED))
+    def test_banned_call_flagged_as_attribute_and_from_import(
+            self, target):
+        root, first, *rest = target.split(".")
+        body = "\n\n\ndef read():\n    return {}()\n"
+        spellings = [
+            f"import {root}" + body.format(target),
+            f"from {root} import {first} as clock"
+            + body.format(".".join(["clock"] + rest)),
+        ]
+        for source in spellings:
+            findings = lint_source(source, "src/demo/clock.py")
+            assert [(f.rule, f.line) for f in findings] == \
+                [("DET002", 5)], source
+            assert f"wall-clock call {target}()" in findings[0].message
 
 
 class TestPoolBoundaryFrozen:

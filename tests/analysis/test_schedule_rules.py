@@ -14,7 +14,10 @@ import os
 import pytest
 
 from repro.analysis.engine import lint_paths, module_name_for
-from repro.analysis.interproc.dataflow import tainted_functions
+from repro.analysis.interproc.dataflow import (
+    TAINT_SOURCES,
+    tainted_functions,
+)
 from repro.analysis.interproc.project import build_project
 from repro.analysis.rules import build_context
 from repro.analysis.schedule_rules import (
@@ -152,8 +155,11 @@ class TestInterprocLayer:
         roots = project.caller_roots["demo.devices.Sensor._tick"]
         assert "demo.devices.build" in roots
 
-    @pytest.mark.parametrize("clock", ["time", "perf_counter"])
+    @pytest.mark.parametrize("clock", [
+        "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+        "perf_counter_ns", "process_time", "process_time_ns"])
     def test_taint_propagates_with_a_via_chain(self, clock):
+        label = TAINT_SOURCES[f"time.{clock}"]
         source = ("import time\n"
                   "\n"
                   "\n"
@@ -166,10 +172,9 @@ class TestInterprocLayer:
         project = build_project([_ctx(source, "src/demo/skew.py")])
         taints = tainted_functions(project.symbols,
                                    project.callgraph)
-        assert taints["demo.skew._inner"] == \
-            f"wall clock (time.{clock})"
+        assert taints["demo.skew._inner"] == f"{label} (time.{clock})"
         assert taints["demo.skew._skew"] == \
-            f"via demo.skew._inner: wall clock (time.{clock})"
+            f"via demo.skew._inner: {label} (time.{clock})"
 
 
 TWO_SCENARIOS = '''\

@@ -7,11 +7,16 @@ This file pins what must hold for *every* family:
 * argument validation (negative runs or workers, ``workers=0`` = one
   pool worker per core);
 * progress streams :class:`~repro.core.campaign.RunOutcome` records;
+* a store body that does not decode is a miss, never an error;
+* a re-run resumes from whichever runs the store holds, and the
+  order in which pool runs complete never reaches the result or the
+  observability fold;
 * cache keys are byte-stable: the pinned values below address runs
   stored by earlier versions, so existing stores keep serving hits.
 """
 
 import concurrent.futures
+import itertools
 import os
 
 import pytest
@@ -25,6 +30,7 @@ from repro.core.campaign import (
 from repro.core.fleet.scenario import FleetScenario
 from repro.core.scenario import EmergencyBrakeScenario
 from repro.faults.catalogue import plans_by_name
+from repro.obs import ObsAggregate
 
 #: One small scenario per family, so each test run stays fast.
 SCENARIOS = {
@@ -128,6 +134,138 @@ class TestProgressAndCache:
         body = store.get(key)
         assert sorted(body) == sorted(["kind", family.body_field])
         assert body["kind"] == family.name
+
+
+#: Runs per campaign in the resume and completion-order tests.
+RUNS = 3
+
+
+@pytest.fixture(scope="module")
+def references(tmp_path_factory):
+    """Per family: an instrumented serial campaign, its obs
+    ``sim_digest`` and the store it filled."""
+    built = {}
+    for name, scenario in sorted(SCENARIOS.items()):
+        cache_dir = str(tmp_path_factory.mktemp(f"ref-{name}"))
+        obs = ObsAggregate()
+        campaign = run_campaign_parallel(scenario, runs=RUNS, workers=1,
+                                         obs=obs, cache_dir=cache_dir)
+        built[name] = (campaign, obs.sim_digest(),
+                       ArtifactStore(cache_dir))
+    return built
+
+
+def malformed_bodies(family, result):
+    """Store bodies that carry no decodable result of *family*."""
+    good = result.to_dict()
+    first = sorted(good)[0]
+    return {
+        "empty": {},
+        "kind_only": {"kind": family.name},
+        "wrong_field": {"kind": family.name, "other": good},
+        "field_none": {"kind": family.name, family.body_field: None},
+        "field_str": {"kind": family.name, family.body_field: "x"},
+        "field_list": {"kind": family.name, family.body_field: []},
+        "field_empty": {"kind": family.name, family.body_field: {}},
+        f"missing_{first}": {
+            "kind": family.name,
+            family.body_field: {k: v for k, v in good.items()
+                                if k != first}},
+    }
+
+
+class TestDecode:
+    """A body that does not decode is a miss, never an exception."""
+
+    @pytest.mark.parametrize("case", [
+        "empty", "kind_only", "wrong_field", "field_none", "field_str",
+        "field_list", "field_empty", "missing"])
+    def test_malformed_body_is_a_miss(self, scenario, case, references):
+        family = family_of(scenario)
+        result = references[family.name][0].runs[0]
+        bodies = malformed_bodies(family, result)
+        [name] = [n for n in bodies if n.startswith(case)]
+        assert family.decode(bodies[name], run_id=1) is None
+        assert family.decode(family.body(result), run_id=1).to_dict() \
+            == result.to_dict()
+
+    @pytest.mark.parametrize("field", [
+        "cbr", "dcc_final_state", "dcc_state_transitions",
+        "denm_latency_ms", "medium"])
+    def test_fleet_mapping_field_of_wrong_type_is_a_miss(self, field,
+                                                         references):
+        family = FAMILIES["fleet"]
+        run = references["fleet"][0].runs[0].to_dict()
+        assert isinstance(run[field], dict)
+        run[field] = "garbage"
+        assert family.decode({"kind": "fleet", "run": run},
+                             run_id=1) is None
+
+
+def subset_id(stored):
+    return "-".join(map(str, stored)) or "none"
+
+
+class TestResume:
+    """A re-run simulates only what the store lacks."""
+
+    @pytest.mark.parametrize("stored", [
+        subset for size in range(RUNS + 1)
+        for subset in itertools.combinations(range(1, RUNS + 1), size)],
+        ids=subset_id)
+    def test_resumes_from_any_stored_subset(self, scenario, stored,
+                                            references, tmp_path):
+        family = family_of(scenario)
+        campaign, _, reference = references[family.name]
+        store = ArtifactStore(str(tmp_path))
+        keys = {run_id: family.key(scenario.with_seed(run_id), None, None)
+                for run_id in range(1, RUNS + 1)}
+        for run_id in stored:
+            store.put(keys[run_id], reference.get(keys[run_id]))
+        before = {run_id: open(store.path(keys[run_id]), "rb").read()
+                  for run_id in stored}
+
+        cached = {}
+        resumed = run_campaign_parallel(
+            scenario, runs=RUNS, workers=2, cache_dir=str(tmp_path),
+            progress=lambda o, d, t: cached.update({o.run_id: o.cached}))
+        assert cached == {run_id: run_id in stored
+                          for run_id in range(1, RUNS + 1)}
+        assert resumed.digest() == campaign.digest()
+        assert sorted(store.keys()) == sorted(keys.values())
+        for run_id, payload in before.items():
+            assert open(store.path(keys[run_id]), "rb").read() == payload
+
+
+class TestCompletionOrder:
+    """Pool runs may finish in any order; nothing downstream sees it."""
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(RUNS))),
+        ids=lambda order: "-".join(map(str, order)))
+    def test_any_completion_order_folds_identically(
+            self, scenario, order, references, monkeypatch):
+        real_wait = concurrent.futures.wait
+
+        def in_order(futures):
+            # The engine submits in run_id order; finish all, then
+            # hand them back permuted.
+            futures = list(futures)
+            real_wait(futures)
+            return [futures[index] for index in order]
+
+        monkeypatch.setattr(concurrent.futures, "as_completed", in_order)
+        events = []
+        obs = ObsAggregate()
+        result = run_campaign_parallel(
+            scenario, runs=RUNS, workers=2, obs=obs,
+            progress=lambda o, d, t: events.append((o.run_id, d)))
+        assert events == [(index + 1, done + 1)
+                          for done, index in enumerate(order)]
+        campaign, obs_digest, _ = references[family_of(scenario).name]
+        assert result.digest() == campaign.digest()
+        assert obs.sim_digest() == obs_digest
+        assert obs.runs == RUNS
 
 
 class TestCacheKeys:
